@@ -146,9 +146,14 @@ def weighted_cov(x, w) -> np.ndarray:
     """
     x = as_data(x)
     w = as_weights(w, x.shape[0])
+    return _weighted_cov_parts(x, w)[0]
+
+
+def _weighted_cov_parts(x: np.ndarray, w: np.ndarray):
+    """Unchecked weighted_cov, plus the centred rows and the total weight."""
     s = w.sum()
     centered = x - (w @ x) / s
-    return (centered.T * w) @ centered / s
+    return (centered.T * w) @ centered / s, centered, s
 
 
 _NORMALIZE_FLOOR = 1e-8
@@ -165,10 +170,16 @@ def normalize_componentwise(x) -> np.ndarray:
     x = as_data(x)
     if x.shape[0] < 2:
         raise DimensionError("normalization needs at least 2 rows")
-    mu = x.mean(axis=0)
+    return _normalize_parts(x)[0]
+
+
+def _normalize_parts(x: np.ndarray):
+    """Unchecked normalize_componentwise, plus the centred data, the column
+    std and the divisor it used."""
+    centered = x - x.mean(axis=0)
     sigma = x.std(axis=0)
     denom = np.where(sigma < _NORMALIZE_FLOOR, sigma + _NORMALIZE_FLOOR, sigma)
-    return (x - mu) / denom
+    return centered / denom, centered, sigma, denom
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,12 @@ only quantities treated as constants are the weighting points and the
 max-shift of the log weights; the shift is exactly gradient-free
 because every weighted statistic is invariant to rescaling all weights.
 
+The wii term is evaluated and differentiated by wii.py's kernel, the one
+the diagnostics call.  All parameters live in one vector,
+AutoEncoderModel.theta: encoder weights, encoder biases, decoder weights,
+decoder biases, each in layer order and row-major; every weight and bias
+is a view into it, and cost_gradient returns this layout.
+
 Nothing here calls an autodiff framework; the gradient is validated
 against central finite differences in the test suite.
 """
@@ -21,13 +27,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import RngStream, as_data
+from .core import RngStream, _normalize_parts, as_data
 from .errors import (
     DimensionError,
     FileFormatError,
@@ -35,7 +41,9 @@ from .errors import (
     TrainingDivergedError,
     WeightCollapseError,
 )
-from .wii import dependence_coefficients, sample_weighting_points
+from .wii import (
+    WiiConfig, _map_surviving_points, _point_backward, _point_forward, sample_weighting_points,
+)
 
 __all__ = [
     "MlpParams",
@@ -57,8 +65,6 @@ __all__ = [
     "load_trace",
 ]
 
-_NORMALIZE_FLOOR = 1e-8  # matches core.normalize_componentwise
-_MIN_EFFECTIVE_WEIGHT = 1e-12
 _COLLAPSE_RETRIES = 5
 
 _ACTIVATIONS = ("tanh", "linear")
@@ -109,14 +115,15 @@ class MlpParams:
     def out_size(self) -> int:
         return self.sizes[-1]
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.weights + self.biases)
-
 
 @dataclass(eq=False)
 class AutoEncoderModel:
+    """Encoder and decoder over views into a fresh copy of their
+    parameters, theta; the arguments are left untouched."""
+
     encoder: MlpParams
     decoder: MlpParams
+    theta: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         d = self.encoder.in_size
@@ -125,6 +132,17 @@ class AutoEncoderModel:
                 "encoder and decoder must both map d -> d with the same d; got "
                 f"encoder {self.encoder.sizes}, decoder {self.decoder.sizes}"
             )
+        parts = [a for m in (self.encoder, self.decoder) for a in m.weights + m.biases]
+        self.theta = np.concatenate([a.reshape(-1) for a in parts])
+        views = iter(np.split(self.theta, np.cumsum([a.size for a in parts])[:-1]))
+        self.encoder, self.decoder = (
+            replace(
+                m,
+                weights=[next(views).reshape(w.shape) for w in m.weights],
+                biases=[next(views).reshape(b.shape) for b in m.biases],
+            )
+            for m in (self.encoder, self.decoder)
+        )
 
     @property
     def d(self) -> int:
@@ -278,78 +296,6 @@ def rec_error(model: AutoEncoderModel, x, *, rec_norm: str = "mean") -> float:
 # the cost and its exact gradient
 
 
-@dataclass(eq=False)
-class ModelGrad:
-    """Cost gradient laid out exactly like the model's parameters."""
-
-    encoder_w: list[np.ndarray]
-    encoder_b: list[np.ndarray]
-    decoder_w: list[np.ndarray]
-    decoder_b: list[np.ndarray]
-
-    def max_abs(self) -> float:
-        parts = self.encoder_w + self.encoder_b + self.decoder_w + self.decoder_b
-        return max(float(np.abs(p).max()) for p in parts)
-
-
-def _normalize_cached(e: np.ndarray):
-    mu = e.mean(axis=0)
-    sigma = e.std(axis=0)
-    denom = np.where(sigma < _NORMALIZE_FLOOR, sigma + _NORMALIZE_FLOOR, sigma)
-    y = (e - mu) / denom
-    return y, e - mu, sigma, denom
-
-
-def _point_forward(y: np.ndarray, p: np.ndarray):
-    """Weights, centered data, covariance and pair coefficients at p."""
-    diff = y - p
-    lw = -0.5 * np.einsum("ij,ij->i", diff, diff)
-    w = np.exp(lw - lw.max())
-    total = w.sum()
-    if total - 1.0 < _MIN_EFFECTIVE_WEIGHT:
-        raise WeightCollapseError(p, float(total - 1.0))
-    centered = y - (w @ y) / total
-    z = (centered.T * w) @ centered / total
-    c = dependence_coefficients(z)
-    d = y.shape[1]
-    value = float(c.sum() / (d * (d - 1)))
-    return value, w, total, centered, z
-
-
-def _point_backward(
-    y: np.ndarray, p: np.ndarray, w: np.ndarray, total: float,
-    centered: np.ndarray, z: np.ndarray,
-) -> np.ndarray:
-    """d(wii at p)/dY, unit upstream.  Mirrors _point_forward exactly."""
-    d = y.shape[1]
-    scale = 1.0 / (d * (d - 1))
-    var = np.diag(z)
-    denom = var[:, None] ** 2 + var[None, :] ** 2
-    live = denom > 0.0
-    np.fill_diagonal(live, False)
-    safe = np.where(live, denom, 1.0)
-
-    # dwii/dZ: off-diagonal from c_ij = 2 z_ij^2 / denom, diagonal from
-    # the two denominator appearances of each variance
-    g = np.where(live, scale * 4.0 * z / safe, 0.0)
-    ratio = np.where(live, z * z / (safe * safe), 0.0)
-    np.fill_diagonal(g, -scale * 8.0 * var * ratio.sum(axis=1))
-
-    # Z = centered^T diag(w) centered / total
-    sym = g + g.T
-    d_centered = (w / total)[:, None] * (centered @ sym)
-    quad = np.einsum("ia,ab,ib->i", centered, g, centered)
-    trace_gz = float(np.sum(g * z))
-    h = d_centered.sum(axis=0)
-    d_w = (quad - trace_gz) / total - (centered @ h) / total
-    d_y = d_centered - np.outer(w, h) / total
-
-    # w_i = exp(lw_i - max lw); the shift is exactly gradient-free
-    d_lw = w * d_w
-    d_y -= d_lw[:, None] * (y - p)
-    return d_y
-
-
 def _cost_forward_backward(
     model: AutoEncoderModel, x: np.ndarray, points: np.ndarray,
     cfg: TrainConfig, *, need_grad: bool,
@@ -362,19 +308,10 @@ def _cost_forward_backward(
     if cfg.rec_norm == "mean":
         rec /= n
 
-    y, u, sigma, denom = _normalize_cached(enc_out)
-
-    survivors = []
-    last_collapse: WeightCollapseError | None = None
-    for p in points:
-        try:
-            survivors.append((p, _point_forward(y, p)))
-        except WeightCollapseError as exc:
-            last_collapse = exc
-    if not survivors:
-        assert last_collapse is not None
-        raise last_collapse
-    wii_value = float(np.mean([s[1][0] for s in survivors]))
+    y, u, sigma, denom = _normalize_parts(enc_out)
+    min_weight = WiiConfig().min_effective_weight
+    survivors = _map_surviving_points(lambda p: (p, _point_forward(y, p, min_weight)), points)
+    wii_value = float(np.mean([out[0] for _, out in survivors]))
     total = rec + cfg.beta * wii_value
     if not need_grad:
         return total, rec, wii_value, None
@@ -397,8 +334,8 @@ def _cost_forward_backward(
         slope = np.where(live, g_dot_u / (n * np.where(live, sigma, 1.0) * denom ** 2), 0.0)
         d_enc_out = d_enc_out + d_enc_norm - u * slope
     enc_gw, enc_gb, _ = _mlp_backward(model.encoder, enc_acts, d_enc_out)
-
-    return total, rec, wii_value, ModelGrad(enc_gw, enc_gb, dec_gw, dec_gb)
+    grad = np.concatenate([g.reshape(-1) for g in enc_gw + enc_gb + dec_gw + dec_gb])
+    return total, rec, wii_value, grad
 
 
 def _check_cost_inputs(model: AutoEncoderModel, x, points) -> tuple[np.ndarray, np.ndarray]:
@@ -424,8 +361,8 @@ def wica_cost(
     return total, rec, wii_value
 
 
-def cost_gradient(model: AutoEncoderModel, x, points, cfg: TrainConfig) -> ModelGrad:
-    """Exact gradient of wica_cost's total w.r.t. every parameter."""
+def cost_gradient(model: AutoEncoderModel, x, points, cfg: TrainConfig) -> np.ndarray:
+    """Exact gradient of wica_cost's total w.r.t. model.theta, in its layout."""
     x, points = _check_cost_inputs(model, x, points)
     _, _, _, grad = _cost_forward_backward(model, x, points, cfg, need_grad=True)
     return grad
@@ -436,43 +373,30 @@ def cost_gradient(model: AutoEncoderModel, x, points, cfg: TrainConfig) -> Model
 
 
 class _Adam:
-    def __init__(self, params: list[np.ndarray], lr: float) -> None:
+    def __init__(self, theta: np.ndarray, lr: float) -> None:
         self.lr = lr
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(theta)
+        self.v = np.zeros_like(theta)
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        theta -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
 
 class _Sgd:
-    def __init__(self, params: list[np.ndarray], lr: float) -> None:
+    def __init__(self, theta: np.ndarray, lr: float) -> None:
         self.lr = lr
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g in zip(params, grads):
-            p -= self.lr * g
-
-
-def _param_list(model: AutoEncoderModel) -> list[np.ndarray]:
-    return (
-        model.encoder.weights + model.encoder.biases
-        + model.decoder.weights + model.decoder.biases
-    )
-
-
-def _grad_list(grad: ModelGrad) -> list[np.ndarray]:
-    return grad.encoder_w + grad.encoder_b + grad.decoder_w + grad.decoder_b
+    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
+        theta -= self.lr * g
 
 
 def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
@@ -484,6 +408,11 @@ def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
     """
     x = as_data(x, min_cols=2, name="training data")
     n, d = x.shape
+    if cfg.batch_size < d:
+        raise DimensionError(
+            f"batch_size {cfg.batch_size} is below d={d}: a weighting point "
+            "is the mean of d distinct rows of a batch"
+        )
     if cfg.batch_size > n:
         raise InsufficientDataError(
             f"batch_size {cfg.batch_size} exceeds the {n} available rows"
@@ -494,8 +423,7 @@ def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
     points_rng = root.split("points")
     num_points = cfg.num_weighting_points or d
 
-    params = _param_list(model)
-    opt = (_Adam if cfg.optimizer == "adam" else _Sgd)(params, cfg.learning_rate)
+    opt = (_Adam if cfg.optimizer == "adam" else _Sgd)(model.theta, cfg.learning_rate)
     records: list[TraceRecord] = []
     for step in range(1, cfg.steps + 1):
         idx = batch_gen.choice(n, size=cfg.batch_size, replace=False)
@@ -503,7 +431,7 @@ def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
         outcome = None
         for _ in range(1 + _COLLAPSE_RETRIES):
             code = mlp_forward(model.encoder, xb)
-            y, _, _, _ = _normalize_cached(code)
+            y = _normalize_parts(code)[0]
             points = sample_weighting_points(y, num_points, points_rng)
             try:
                 outcome = _cost_forward_backward(model, xb, points, cfg, need_grad=True)
@@ -515,8 +443,8 @@ def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
         total, rec, wii_value, grad = outcome
         if not np.isfinite(total):
             raise TrainingDivergedError(step, total)
-        opt.step(params, _grad_list(grad))
-        if not model.encoder.all_finite() or not model.decoder.all_finite():
+        opt.step(model.theta, grad)
+        if not np.isfinite(model.theta).all():
             raise TrainingDivergedError(step, float("nan"))
         if step == 1 or step % cfg.log_every == 0 or step == cfg.steps:
             records.append(TraceRecord(step, float(rec), float(wii_value), float(total)))
@@ -535,25 +463,10 @@ def _mlp_to_json(m: MlpParams) -> dict:
     return doc
 
 
-def _config_to_json(cfg: TrainConfig) -> dict:
-    return {
-        "beta": cfg.beta,
-        "batch_size": cfg.batch_size,
-        "steps": cfg.steps,
-        "learning_rate": cfg.learning_rate,
-        "seed": cfg.seed,
-        "num_weighting_points": cfg.num_weighting_points,
-        "optimizer": cfg.optimizer,
-        "log_every": cfg.log_every,
-        "hidden_sizes": list(cfg.hidden_sizes),
-        "rec_norm": cfg.rec_norm,
-    }
-
-
 def save_model(path, model: AutoEncoderModel, cfg: TrainConfig) -> None:
     doc = {
         "d": model.d,
-        "config": _config_to_json(cfg),
+        "config": asdict(cfg),
         "encoder": _mlp_to_json(model.encoder),
         "decoder": _mlp_to_json(model.decoder),
     }

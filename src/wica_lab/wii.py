@@ -10,6 +10,9 @@ which is 0 for uncorrelated pairs and at most rho_ij^2 in general, with
 equality exactly when the two weighted standard deviations agree.  The
 index is the average of c_ij over pairs, and over several weighting
 points drawn near the origin of the normalized sample.
+
+The diagnostics here and the training cost in trainer.py evaluate the
+index with one kernel, _point_forward; _point_backward differentiates it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RngStream, as_data, normalize_componentwise, weighted_cov
+from .core import RngStream, _weighted_cov_parts, as_data, normalize_componentwise
 from .errors import DimensionError, InsufficientDataError, WeightCollapseError
 
 __all__ = [
@@ -67,11 +70,17 @@ def gaussian_log_weights(y, p) -> np.ndarray:
     so it is dropped here and never materialized.
     """
     y = as_data(y, name="sample")
+    return _log_weights(y, _as_point(p, y.shape[1]))
+
+
+def _as_point(p, d: int) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
-    if p.shape != (y.shape[1],):
-        raise DimensionError(
-            f"weighting point must have shape ({y.shape[1]},), got {p.shape}"
-        )
+    if p.shape != (d,):
+        raise DimensionError(f"weighting point must have shape ({d},), got {p.shape}")
+    return p
+
+
+def _log_weights(y: np.ndarray, p: np.ndarray) -> np.ndarray:
     diff = y - p
     return -0.5 * np.einsum("ij,ij->i", diff, diff)
 
@@ -115,14 +124,70 @@ def dependence_coefficients(cov) -> np.ndarray:
 def wii_at_point(y, p, config: WiiConfig = WiiConfig()) -> float:
     """Index of the sample reweighted by a Gaussian bump at p."""
     y = as_data(y, min_cols=2, name="sample")
-    lw = gaussian_log_weights(y, p)
+    return _point_forward(y, _as_point(p, y.shape[1]), config.min_effective_weight)[0]
+
+
+def _point_forward(y: np.ndarray, p: np.ndarray, min_effective_weight: float):
+    """Unchecked index at p, plus the weights, total weight, centred rows
+    and weighted covariance that _point_backward needs."""
     w = weights_from_log(
-        lw, min_effective_weight=config.min_effective_weight, point=p
+        _log_weights(y, p), min_effective_weight=min_effective_weight, point=p
     )
-    c = dependence_coefficients(weighted_cov(y, w))
+    z, centered, total = _weighted_cov_parts(y, w)
+    c = dependence_coefficients(z)
     d = y.shape[1]
     # c is symmetric with zero diagonal; summing it all counts each pair twice
-    return float(c.sum() / (d * (d - 1)))
+    return float(c.sum() / (d * (d - 1))), w, total, centered, z
+
+
+def _point_backward(
+    y: np.ndarray, p: np.ndarray, w: np.ndarray, total: float,
+    centered: np.ndarray, z: np.ndarray,
+) -> np.ndarray:
+    """d(wii at p)/dY, unit upstream.  Mirrors _point_forward exactly."""
+    d = y.shape[1]
+    scale = 1.0 / (d * (d - 1))
+    var = np.diag(z)
+    denom = var[:, None] ** 2 + var[None, :] ** 2
+    live = denom > 0.0
+    np.fill_diagonal(live, False)
+    safe = np.where(live, denom, 1.0)
+
+    # dwii/dZ: off-diagonal from c_ij = 2 z_ij^2 / denom, diagonal from
+    # the two denominator appearances of each variance
+    g = np.where(live, scale * 4.0 * z / safe, 0.0)
+    ratio = np.where(live, z * z / (safe * safe), 0.0)
+    np.fill_diagonal(g, -scale * 8.0 * var * ratio.sum(axis=1))
+
+    # Z = centered^T diag(w) centered / total
+    sym = g + g.T
+    d_centered = (w / total)[:, None] * (centered @ sym)
+    quad = np.einsum("ia,ab,ib->i", centered, g, centered)
+    trace_gz = float(np.sum(g * z))
+    h = d_centered.sum(axis=0)
+    d_w = (quad - trace_gz) / total - (centered @ h) / total
+    d_y = d_centered - np.outer(w, h) / total
+
+    # w_i = exp(lw_i - max lw); the shift is exactly gradient-free
+    d_lw = w * d_w
+    d_y -= d_lw[:, None] * (y - p)
+    return d_y
+
+
+def _map_surviving_points(f, points: np.ndarray) -> list:
+    """[f(p) for p in points] without the points whose weights collapse;
+    points is non-empty, and the last collapse is re-raised if every point
+    collapsed.  Only f's results are kept, so f decides how much of a
+    point's state survives."""
+    results = []
+    for p in points:
+        try:
+            results.append(f(p))
+        except WeightCollapseError as exc:
+            last_collapse = exc
+    if not results:
+        raise last_collapse
+    return results
 
 
 def sample_weighting_points(y, num_points: int, rng: RngStream) -> np.ndarray:
@@ -154,17 +219,14 @@ def wii_multi(y, points, config: WiiConfig = WiiConfig()) -> float:
     surfaces only when every point collapses, since then there is no
     index to report at all.
     """
+    y = as_data(y, min_cols=2, name="sample")
     points = as_data(points, name="weighting points")
-    values = []
-    last_collapse: WeightCollapseError | None = None
-    for p in points:
-        try:
-            values.append(wii_at_point(y, p, config))
-        except WeightCollapseError as exc:
-            last_collapse = exc
-    if not values:
-        assert last_collapse is not None
-        raise last_collapse
+    if points.shape[1] != y.shape[1]:
+        raise DimensionError(
+            f"weighting points must have {y.shape[1]} columns, got {points.shape[1]}"
+        )
+    min_weight = config.min_effective_weight
+    values = _map_surviving_points(lambda p: _point_forward(y, p, min_weight)[0], points)
     return float(np.mean(values))
 
 
@@ -172,7 +234,8 @@ def wii_index(x, config: WiiConfig = WiiConfig(), rng: RngStream | None = None) 
     """Normalize x, draw weighting points from it, average the index.
 
     This is the quantity reported by diagnostics and used to calibrate
-    thresholds; training recomputes the same pipeline differentiably.
+    thresholds; the training cost calls the same kernel on the
+    normalized code and differentiates it.
     """
     x = as_data(x, min_cols=2, name="sample")
     if rng is None:

@@ -29,9 +29,11 @@ import numpy as np
 
 from wica_lab import cli, datagen, metrics, mixer, trainer, wii
 from wica_lab.core import RngStream, normalize_componentwise, sample_haar_orthogonal
-from wica_lab.oracles import CalibrationRecord, ks_statistic, linear_fit_residual, save_record
 
 DATA_DIR = Path(__file__).resolve().parent
+sys.path.insert(0, str(DATA_DIR.parent))  # the test-only oracles live in tests/
+
+from oracles import CalibrationRecord, ks_statistic, linear_fit_residual, save_record  # noqa: E402
 
 
 def _independent_wii() -> float:

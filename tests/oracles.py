@@ -5,12 +5,12 @@ Python loops instead of vectorized statistics, exhaustive search
 instead of the assignment solver, finite differences instead of the
 hand-written backward pass, grid quadrature instead of the closed-form
 concentration value.  None of it shares code with the modules under
-test, and none of it is built for speed.
+test beyond the model's parameter layout, and none of it is built for
+speed.  It is test-only and is not part of the installed package.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, FileFormatError, NumericalError
-from .trainer import AutoEncoderModel
+from wica_lab.errors import DimensionError, FileFormatError, NumericalError
+from wica_lab.trainer import AutoEncoderModel
 
 __all__ = [
     "loop_weighted_mean",
@@ -136,31 +136,19 @@ def fd_jacobian(f: Callable[[np.ndarray], np.ndarray], x, h: float) -> np.ndarra
 
 
 def model_param_vector(model: AutoEncoderModel) -> np.ndarray:
-    """Flatten all parameters: encoder weights, encoder biases, decoder
+    """A copy of all parameters: encoder weights, encoder biases, decoder
     weights, decoder biases, each in layer order."""
-    parts = (
-        model.encoder.weights + model.encoder.biases
-        + model.decoder.weights + model.decoder.biases
-    )
-    return np.concatenate([p.reshape(-1) for p in parts])
+    return model.theta.copy()
 
 
 def with_param_vector(model: AutoEncoderModel, theta: np.ndarray) -> AutoEncoderModel:
-    """A deep copy of the model with parameters replaced from the vector."""
-    out = copy.deepcopy(model)
-    parts = (
-        out.encoder.weights + out.encoder.biases
-        + out.decoder.weights + out.decoder.biases
-    )
+    """A new model with parameters replaced from the vector.  Built by the
+    constructor: a deep copy's arrays would no longer be views of theta."""
     theta = np.asarray(theta, dtype=np.float64)
-    offset = 0
-    for p in parts:
-        p[...] = theta[offset : offset + p.size].reshape(p.shape)
-        offset += p.size
-    if offset != theta.size:
-        raise DimensionError(
-            f"parameter vector has {theta.size} entries, model needs {offset}"
-        )
+    if theta.shape != model.theta.shape:
+        raise DimensionError(f"need {model.theta.size} parameters, got shape {theta.shape}")
+    out = AutoEncoderModel(model.encoder, model.decoder)
+    out.theta[...] = theta
     return out
 
 

@@ -175,6 +175,17 @@ def test_invalid_config_json_exits_2(tmp_path, monkeypatch):
     assert main(["generate", "--config", "cfg.json"]) == 2
 
 
+def test_train_batch_smaller_than_d_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "generate", "--kind", "uniform", "--d", "4", "--n", "64", "--out", "sources.csv",
+    ]) == 0
+    rc = main(["train", "--data", "sources.csv", "--steps", "1", "--batch-size", "3"])
+    assert rc == 2
+    assert "batch_size 3 is below d=4" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_diverging_training_exits_3(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _generate(n=256, seed=3)

@@ -23,7 +23,8 @@ from wica_lab.errors import (
     DimensionError,
     FileFormatError,
 )
-from wica_lab.oracles import ks_statistic, loop_weighted_cov, loop_weighted_mean
+
+from oracles import ks_statistic, loop_weighted_cov, loop_weighted_mean
 
 
 # ---------------------------------------------------------------------------

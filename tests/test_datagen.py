@@ -8,8 +8,9 @@ import pytest
 from wica_lab.core import RngStream, normalize_componentwise, pearson_corr_matrix
 from wica_lab.datagen import KINDS, SourceSpec, generate
 from wica_lab.errors import DimensionError
-from wica_lab.oracles import load_record
 from wica_lab.wii import WiiConfig, wii_index
+
+from oracles import load_record
 
 DATA = Path(__file__).parent / "data"
 

@@ -19,7 +19,8 @@ from wica_lab.metrics import (
     solve_assignment,
     spearman_distance_matrix,
 )
-from wica_lab.oracles import brute_assignment, load_record
+
+from oracles import brute_assignment, load_record
 
 DATA = Path(__file__).parent / "data"
 

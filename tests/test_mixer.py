@@ -19,7 +19,8 @@ from wica_lab.mixer import (
     stage_inverse,
     unmix_exact,
 )
-from wica_lab.oracles import fd_jacobian, linear_fit_residual, load_record
+
+from oracles import fd_jacobian, linear_fit_residual, load_record
 
 DATA = Path(__file__).parent / "data"
 

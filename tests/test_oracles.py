@@ -7,7 +7,8 @@ import pytest
 
 from wica_lab.core import RngStream
 from wica_lab.errors import DimensionError, FileFormatError, NumericalError
-from wica_lab.oracles import (
+
+from oracles import (
     CalibrationRecord,
     brute_assignment,
     fd_gradient,

@@ -6,19 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wica_lab.core import RngStream, sample_haar_orthogonal
+from wica_lab.core import RngStream, normalize_componentwise, sample_haar_orthogonal
 from wica_lab.errors import (
     DimensionError,
     FileFormatError,
     InsufficientDataError,
     TrainingDivergedError,
     WeightCollapseError,
-)
-from wica_lab.oracles import (
-    fd_model_gradient,
-    loop_weighted_cov,
-    model_param_vector,
-    with_param_vector,
 )
 from wica_lab.trainer import (
     AutoEncoderModel,
@@ -38,6 +32,14 @@ from wica_lab.trainer import (
     save_trace,
     train,
     wica_cost,
+)
+from wica_lab.wii import wii_multi
+
+from oracles import (
+    fd_model_gradient,
+    loop_weighted_cov,
+    model_param_vector,
+    with_param_vector,
 )
 
 
@@ -65,11 +67,6 @@ def _loop_mlp_forward(m: MlpParams, x: np.ndarray) -> np.ndarray:
             a = nxt
         out[i] = a
     return out
-
-
-def _flat_grad(grad) -> np.ndarray:
-    parts = grad.encoder_w + grad.encoder_b + grad.decoder_w + grad.decoder_b
-    return np.concatenate([p.reshape(-1) for p in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +265,21 @@ def test_cost_skips_collapsed_points():
         wica_cost(model, x, far, TrainConfig())
 
 
+def test_cost_wii_is_the_diagnostic_index():
+    """Training and the diagnostics evaluate one index: the cost's wii term
+    equals wii_multi on the normalized code exactly, skipped points too."""
+    model = init_model(3, (8,), RngStream(13).split("init"))
+    x = RngStream(14).split("x").generator().standard_normal((96, 3))
+    y = normalize_componentwise(encode(model, x))
+    near = 0.3 * RngStream(15).split("p").generator().standard_normal((3, 3))
+    far = np.full((1, 3), 1e8)
+    for points in (near, np.vstack([near[:1], far, near[1:]])):
+        expect = wii_multi(y, points)
+        assert wica_cost(model, x, points, TrainConfig())[2] == expect
+    with pytest.raises(WeightCollapseError):  # so the second case skips one point
+        wii_multi(y, far)
+
+
 def test_cost_input_validation():
     model = _identity_model(2)
     x = np.zeros((10, 3))
@@ -286,7 +298,7 @@ def test_identity_autoencoder_is_stationary_at_beta_zero():
     model = _identity_model(3)
     x = RngStream(5).split("x").generator().standard_normal((50, 3))
     grad = cost_gradient(model, x, np.zeros((1, 3)), TrainConfig(beta=0.0))
-    assert grad.max_abs() == 0.0
+    assert np.abs(grad).max() == 0.0
 
 
 def test_gradient_matches_finite_differences():
@@ -300,7 +312,7 @@ def test_gradient_matches_finite_differences():
         model = init_model(2, (4, 4), RngStream(seed).split("init"))
         x = RngStream(seed).split("x").generator().standard_normal((16, 2))
         points = 0.5 * points_gen.standard_normal((2, 2))
-        analytic = _flat_grad(cost_gradient(model, x, points, cfg))
+        analytic = cost_gradient(model, x, points, cfg)
 
         def total_of(m):
             return wica_cost(m, x, points, cfg)[0]
@@ -325,16 +337,38 @@ def test_independence_term_gradient_vanishes_on_symmetric_code():
         MlpParams((2, 2), [q.T.copy()], [np.zeros(2)]),
     )
     points = np.zeros((1, 2))
-    g1 = _flat_grad(cost_gradient(model, x, points, TrainConfig(beta=1.0)))
-    g0 = _flat_grad(cost_gradient(model, x, points, TrainConfig(beta=0.0)))
+    g1 = cost_gradient(model, x, points, TrainConfig(beta=1.0))
+    g0 = cost_gradient(model, x, points, TrainConfig(beta=0.0))
     assert np.max(np.abs(g1 - g0)) < 1e-3
+
+
+def test_parameters_are_views_of_theta(tmp_path: Path):
+    def shares_theta(model: AutoEncoderModel) -> bool:
+        arrays = (
+            model.encoder.weights + model.encoder.biases
+            + model.decoder.weights + model.decoder.biases
+        )
+        return all(np.shares_memory(a, model.theta) for a in arrays)
+
+    cfg = TrainConfig(steps=1, batch_size=32, hidden_sizes=(6, 5), seed=3)
+    before = init_model(2, cfg.hidden_sizes, RngStream(cfg.seed).split("init"))
+    assert shares_theta(before)
+    assert before.theta.size == sum(
+        a.size for m in (before.encoder, before.decoder) for a in m.weights + m.biases
+    )
+    model, _ = train(_toy_data(8, n=64), cfg)
+    assert shares_theta(model)
+    assert not np.array_equal(model.encoder.weights[0], before.encoder.weights[0])
+    path = tmp_path / "model.json"
+    save_model(path, model, cfg)
+    assert shares_theta(load_model(path)[0])
 
 
 def test_gradient_layout_matches_param_vector():
     model = init_model(2, (4,), RngStream(9).split("init"))
     x = RngStream(9).split("x").generator().standard_normal((32, 2))
     grad = cost_gradient(model, x, np.zeros((1, 2)), TrainConfig())
-    assert _flat_grad(grad).shape == model_param_vector(model).shape
+    assert grad.shape == model_param_vector(model).shape
     # with_param_vector round-trips the layout
     theta = model_param_vector(model)
     again = model_param_vector(with_param_vector(model, theta))
@@ -408,6 +442,12 @@ def test_train_beta_zero_reduces_reconstruction():
     )
     _, trace = train(x, cfg)
     assert trace.records[-1].rec_error < trace.records[0].rec_error
+
+
+def test_train_rejects_batch_smaller_than_d():
+    # a weighting point is the mean of d distinct rows of the batch
+    with pytest.raises(DimensionError):
+        train(_toy_data(5, n=32, d=4), TrainConfig(batch_size=3, steps=1))
 
 
 def test_train_rejects_oversized_batch():

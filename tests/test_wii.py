@@ -1,6 +1,7 @@
 """Weighted independence index: weights, coefficients, estimator, concentration."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ from wica_lab.errors import (
     InsufficientDataError,
     WeightCollapseError,
 )
-from wica_lab.oracles import load_record, quadrature_P
 from wica_lab.wii import (
     WiiConfig,
     concentration,
@@ -24,6 +24,8 @@ from wica_lab.wii import (
     wii_index,
     wii_multi,
 )
+
+from oracles import load_record, quadrature_P
 
 DATA = Path(__file__).parent / "data"
 
@@ -177,6 +179,20 @@ def test_wii_multi_raises_when_every_point_collapses():
     x = normalize_componentwise(g.standard_normal((400, 2)))
     with pytest.raises(WeightCollapseError):
         wii_multi(x, [np.array([1e6, 1e6]), np.array([-1e6, 1e6])])
+
+
+def test_wii_multi_holds_one_point_at_a_time():
+    """Per-point weighted samples are dropped as soon as their value is
+    taken: 16 points held together would need 16 times the sample."""
+    y = normalize_componentwise(RngStream(38).split("big").generator().standard_normal((4096, 16)))
+    points = sample_weighting_points(y, 16, RngStream(39))
+    tracemalloc.start()
+    try:
+        wii_multi(y, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * y.nbytes
 
 
 def test_wii_index_deterministic_and_affine_invariant():
