@@ -5,6 +5,14 @@ manifest next to its primary output (resolved config, config hash,
 input digests), and never touches a wall clock, so rerunning a command
 with the same flags reproduces its artifacts byte for byte.
 
+Each subcommand declares its options once, in a table of (parser,
+default) entries.  The table generates the subcommand's flags, and every
+value, from a flag, a --config JSON file or bench's nested "train"
+object, is read by its option's parser.  A value a parser cannot read
+exactly, or a key the table does not declare, is a usage error.  The
+manifest records the parsed values, so a flag and a config file that
+describe the same run record the same config and config hash.
+
 Exit codes: 0 success, 2 usage or file-format problems, 3 numerical
 failures (weight collapse, divergence, degenerate data).
 """
@@ -15,20 +23,17 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import datagen, metrics, mixer, trainer, wii
-from .core import Dataset, RngStream, load_csv, normalize_componentwise, save_csv
-from .errors import (
-    DimensionError,
-    FileFormatError,
-    NonFiniteError,
-    WicaError,
-)
+from .core import Dataset, RngStream, _read_json_object, normalize_componentwise, save_csv
+from .errors import DimensionError, FileFormatError, NonFiniteError, WicaError
 
 __all__ = ["main"]
 
@@ -62,53 +67,167 @@ def _write_manifest(primary: Path, command: str, config: dict, inputs: list[Path
     manifest.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
+# ---------------------------------------------------------------------------
+# option parsers: each reads a flag string or a JSON value, or raises
+# FileFormatError
+
+
+def _str(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise FileFormatError(f"expected a string, got {value!r}")
+
+
+def _int(value) -> int:
+    """A JSON integer, or a flag string that int() reads."""
     try:
-        doc = json.loads(p.read_text())
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {p}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{p}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
-        ) from None
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{p}: config must be a JSON object")
-    return doc
+        if isinstance(value, str) or type(value) is int:
+            return int(value)
+    except ValueError:
+        pass
+    raise FileFormatError(f"expected an integer, got {value!r}")
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags, unknown keys rejected."""
-    out = dict(defaults)
-    for key, value in _load_config_file(args.config).items():
-        if key not in defaults:
+def _float(value) -> float:
+    """A finite JSON number, or a flag string that float() reads as one."""
+    try:
+        if isinstance(value, (str, float)) or type(value) is int:
+            out = float(value)
+            if math.isfinite(out):
+                return out
+    except (ValueError, OverflowError):
+        pass
+    raise FileFormatError(f"expected a finite number, got {value!r}")
+
+
+def _bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise FileFormatError(f"expected true or false, got {value!r}")
+
+
+def _int_list(value) -> list[int]:
+    """A JSON list of integers, or a comma-separated flag string."""
+    if isinstance(value, str):
+        value = value.split(",")
+    if not isinstance(value, list):
+        raise FileFormatError(f"expected a list of integers, got {value!r}")
+    return [_int(v) for v in value]
+
+
+def _object(value) -> dict:
+    """A JSON object, or a flag string that holds one."""
+    if isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"invalid JSON ({exc.msg})") from None
+    if not isinstance(value, dict):
+        raise FileFormatError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+_int_list.metavar = "N,N,..."
+_object.metavar = "JSON"
+
+
+def _choice(*names: str):
+    def parse(value) -> str:
+        if value in names:
+            return value
+        raise FileFormatError(f"expected one of {', '.join(names)}, got {value!r}")
+    parse.choices = names
+    return parse
+
+
+def _optional(parse):
+    return lambda value: None if value is None else parse(value)
+
+
+_REQUIRED = object()  # default of an option every run must set
+
+
+def _parse(key: str, parse, value):
+    try:
+        return parse(value)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{key}: {exc}") from None
+
+
+def _parse_options(table: dict, given: dict) -> dict:
+    """Every option of the table: its parsed value if given, else its default."""
+    for key in given:
+        if key not in table:
             raise FileFormatError(f"unknown config key {key!r}")
-        out[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    return out
+    return {
+        key: _parse(key, parse, given[key]) if key in given else default
+        for key, (parse, default) in table.items()
+    }
 
 
-def _parse_json_flag(text: str | None, what: str) -> dict:
-    if text is None:
-        return {}
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"bad {what}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{what} must be a JSON object")
-    return doc
+def _resolve(args: argparse.Namespace, table: dict) -> dict:
+    """defaults < config file < explicit flags, unknown keys rejected."""
+    given = {} if args.config is None else _read_json_object(args.config)
+    given.update({key: getattr(args, key) for key in table if getattr(args, key, None) is not None})
+    cfg = _parse_options(table, given)
+    missing = [f"--{key.replace('_', '-')}" for key, value in cfg.items() if value is _REQUIRED]
+    if missing:
+        raise FileFormatError(f"{args.command} needs {' and '.join(missing)}")
+    return cfg
 
 
-def _hidden_sizes(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return tuple(int(tok) for tok in str(value).split(",") if tok.strip())
+# ---------------------------------------------------------------------------
+# option tables
+
+
+_GENERATE = {
+    "kind": (_choice(*datagen.KINDS), "uniform"), "d": (_int, 2), "n": (_int, 1000),
+    "seed": (_int, 0), "params": (_object, {}), "out": (_str, "sources.csv"),
+}
+_MIX = {
+    "data": (_str, _REQUIRED), "iterations": (_int, 10), "hidden": (_int, 16),
+    "seed": (_int, 0), "out": (_str, "mixed.csv"), "pipeline_out": (_str, "pipeline.json"),
+}
+_UNMIX_EXACT = {
+    "data": (_str, _REQUIRED), "pipeline": (_str, _REQUIRED), "out": (_str, "recovered.csv"),
+}
+_TRAIN_PARSERS = {
+    "beta": _float, "batch_size": _int, "steps": _int, "learning_rate": _float,
+    "seed": _int, "num_weighting_points": _optional(_int),
+    "optimizer": _choice("adam", "sgd"), "log_every": _int, "hidden_sizes": _int_list,
+    "rec_norm": _choice("mean", "sum"),
+}
+# the TrainConfig fields, with TrainConfig's defaults
+_TRAIN_CONFIG = {
+    key: (_TRAIN_PARSERS[key], default) for key, default in asdict(trainer.TrainConfig()).items()
+}
+_TRAIN = {
+    "data": (_str, _REQUIRED), **_TRAIN_CONFIG,
+    "model_out": (_str, "model.json"), "trace_out": (_str, "trace.csv"),
+}
+_ENCODE = {"model": (_str, _REQUIRED), "data": (_str, _REQUIRED), "out": (_str, "encoded.csv")}
+_SCORE = {
+    "z": (_str, _REQUIRED), "sources": (_str, _REQUIRED), "out": (_str, "report.json"),
+    "matrices": (_bool, True),
+}
+_WII = {
+    "data": (_str, _REQUIRED), "num_points": (_optional(_int), None), "seed": (_int, 0),
+    "out": (_str, "wii.json"),
+}
+_PLOT_DATA = {"data": (_str, _REQUIRED), "out_dir": (_str, "plots"), "cols": (_int_list, [0, 1])}
+# each grid cell trains with its own seed from "seeds"
+_BENCH_TRAIN = {key: entry for key, entry in _TRAIN_CONFIG.items() if key != "seed"}
+_BENCH = {
+    "dims": (_int_list, [2]), "mixes": (_int_list, [10]), "seeds": (_int_list, [0]),
+    "n": (_int, 16384), "source_kind": (_choice(*datagen.KINDS), "sine_mixture"),
+    "source_params": (_object, {}), "source_seed": (_int, 0), "mix_seed": (_int, 0),
+    "mix_hidden": (_int, 16),
+    "train": (
+        lambda value: _parse_options(_BENCH_TRAIN, _object(value)),
+        _parse_options(_BENCH_TRAIN, {}),
+    ),
+    "out_dir": (_str, "bench"), "threads": (_int, 1),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -116,17 +235,8 @@ def _hidden_sizes(value) -> tuple[int, ...]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    defaults = {
-        "kind": "uniform", "d": 2, "n": 1000, "seed": 0, "params": {},
-        "out": "sources.csv",
-    }
-    cfg = _resolve(args, defaults)
-    if isinstance(cfg["params"], str):
-        cfg["params"] = _parse_json_flag(cfg["params"], "--params")
-    spec = datagen.SourceSpec(
-        kind=cfg["kind"], d=int(cfg["d"]), n=int(cfg["n"]),
-        seed=int(cfg["seed"]), params=cfg["params"],
-    )
+    cfg = _resolve(args, _GENERATE)
+    spec = datagen.SourceSpec(cfg["kind"], cfg["d"], cfg["n"], cfg["seed"], cfg["params"])
     data = datagen.generate(spec)
     out = Path(cfg["out"])
     save_csv(out, data)
@@ -136,18 +246,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_mix(args: argparse.Namespace) -> int:
-    defaults = {
-        "data": None, "iterations": 10, "hidden": 16, "seed": 0,
-        "out": "mixed.csv", "pipeline_out": "pipeline.json",
-    }
-    cfg = _resolve(args, defaults)
-    if cfg["data"] is None:
-        raise FileFormatError("mix needs --data")
+    cfg = _resolve(args, _MIX)
     src_path = Path(cfg["data"])
     sources = normalize_componentwise(Dataset.load(src_path).x)
     pipeline = mixer.build_pipeline(
-        sources.shape[1], int(cfg["iterations"]), int(cfg["hidden"]),
-        RngStream(int(cfg["seed"])),
+        sources.shape[1], cfg["iterations"], cfg["hidden"], RngStream(cfg["seed"])
     )
     mixed = mixer.mix(pipeline, sources)
     out = Path(cfg["out"])
@@ -160,10 +263,7 @@ def _cmd_mix(args: argparse.Namespace) -> int:
 
 
 def _cmd_unmix_exact(args: argparse.Namespace) -> int:
-    defaults = {"data": None, "pipeline": None, "out": "recovered.csv"}
-    cfg = _resolve(args, defaults)
-    if cfg["data"] is None or cfg["pipeline"] is None:
-        raise FileFormatError("unmix-exact needs --data and --pipeline")
+    cfg = _resolve(args, _UNMIX_EXACT)
     data_path, pipe_path = Path(cfg["data"]), Path(cfg["pipeline"])
     pipeline = mixer.load_pipeline(pipe_path)
     recovered = mixer.unmix_exact(pipeline, Dataset.load(data_path).x)
@@ -174,42 +274,11 @@ def _cmd_unmix_exact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_config(cfg: dict) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        beta=float(cfg["beta"]),
-        batch_size=int(cfg["batch_size"]),
-        steps=int(cfg["steps"]),
-        learning_rate=float(cfg["learning_rate"]),
-        seed=int(cfg["seed"]),
-        num_weighting_points=(
-            None if cfg["num_weighting_points"] is None
-            else int(cfg["num_weighting_points"])
-        ),
-        optimizer=cfg["optimizer"],
-        log_every=int(cfg["log_every"]),
-        hidden_sizes=_hidden_sizes(cfg["hidden_sizes"]),
-        rec_norm=cfg["rec_norm"],
-    )
-
-
-_TRAIN_DEFAULTS = {
-    "beta": 1.0, "batch_size": 256, "steps": 5000, "learning_rate": 1e-3,
-    "seed": 0, "num_weighting_points": None, "optimizer": "adam",
-    "log_every": 50, "hidden_sizes": [128, 128, 128], "rec_norm": "mean",
-}
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
-    defaults = {
-        "data": None, "model_out": "model.json", "trace_out": "trace.csv",
-        **_TRAIN_DEFAULTS,
-    }
-    cfg = _resolve(args, defaults)
-    if cfg["data"] is None:
-        raise FileFormatError("train needs --data")
+    cfg = _resolve(args, _TRAIN)
     data_path = Path(cfg["data"])
     data = Dataset.load(data_path).x
-    tc = _train_config(cfg)
+    tc = trainer.TrainConfig(**{key: cfg[key] for key in _TRAIN_CONFIG})
     model, trace = trainer.train(data, tc)
     model_out, trace_out = Path(cfg["model_out"]), Path(cfg["trace_out"])
     trainer.save_model(model_out, model, tc)
@@ -226,10 +295,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_encode(args: argparse.Namespace) -> int:
-    defaults = {"model": None, "data": None, "out": "encoded.csv"}
-    cfg = _resolve(args, defaults)
-    if cfg["model"] is None or cfg["data"] is None:
-        raise FileFormatError("encode needs --model and --data")
+    cfg = _resolve(args, _ENCODE)
     model_path, data_path = Path(cfg["model"]), Path(cfg["data"])
     model, _ = trainer.load_model(model_path)
     z = trainer.encode(model, Dataset.load(data_path).x)
@@ -241,41 +307,32 @@ def _cmd_encode(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    defaults = {"z": None, "sources": None, "out": "report.json", "matrices": True}
-    cfg = _resolve(args, defaults)
-    if args.z_pos is not None:
-        cfg["z"] = args.z_pos
-    if args.sources_pos is not None:
-        cfg["sources"] = args.sources_pos
-    if cfg["z"] is None or cfg["sources"] is None:
-        raise FileFormatError("score needs retrieved and source CSV paths")
+    # the positionals win over --z / --sources
+    args.z = args.z if args.z_pos is None else args.z_pos
+    args.sources = args.sources if args.sources_pos is None else args.sources_pos
+    cfg = _resolve(args, _SCORE)
     z_path, s_path = Path(cfg["z"]), Path(cfg["sources"])
     report = metrics.score(Dataset.load(z_path).x, Dataset.load(s_path).x)
     out = Path(cfg["out"])
-    metrics.save_report(out, report, matrices=bool(cfg["matrices"]))
+    metrics.save_report(out, report, matrices=cfg["matrices"])
     _write_manifest(out, "score", cfg, [z_path, s_path], [out])
     print(f"ots={report.ots:.6f} max_corr={report.max_corr:.6f}")
     return 0
 
 
 def _cmd_wii(args: argparse.Namespace) -> int:
-    defaults = {"data": None, "num_points": None, "seed": 0, "out": "wii.json"}
-    cfg = _resolve(args, defaults)
-    if cfg["data"] is None:
-        raise FileFormatError("wii needs --data")
+    cfg = _resolve(args, _WII)
     data_path = Path(cfg["data"])
     data = Dataset.load(data_path).x
-    wcfg = wii.WiiConfig(
-        num_points=None if cfg["num_points"] is None else int(cfg["num_points"])
-    )
-    value = wii.wii_index(data, wcfg, RngStream(int(cfg["seed"])))
+    wcfg = wii.WiiConfig(num_points=cfg["num_points"])
+    value = wii.wii_index(data, wcfg, RngStream(cfg["seed"]))
     out = Path(cfg["out"])
     doc = {
         "wii": value,
         "n": data.shape[0],
         "d": data.shape[1],
         "num_points": wcfg.resolve_num_points(data.shape[1]),
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
     }
     out.write_text(json.dumps(doc, sort_keys=True) + "\n")
     _write_manifest(out, "wii", cfg, [data_path], [out])
@@ -284,16 +341,13 @@ def _cmd_wii(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot_data(args: argparse.Namespace) -> int:
-    defaults = {"data": None, "out_dir": "plots", "cols": "0,1"}
-    cfg = _resolve(args, defaults)
-    if cfg["data"] is None:
-        raise FileFormatError("plot-data needs --data")
+    cfg = _resolve(args, _PLOT_DATA)
     data_path = Path(cfg["data"])
     data = Dataset.load(data_path).x
-    a, b = (int(tok) for tok in str(cfg["cols"]).split(","))
     d = data.shape[1]
-    if not (0 <= a < d and 0 <= b < d):
-        raise DimensionError(f"columns ({a},{b}) out of range for d={d}")
+    if len(cfg["cols"]) != 2 or not all(0 <= c < d for c in cfg["cols"]):
+        raise DimensionError(f"cols must be two column indices below d={d}, got {cfg['cols']}")
+    a, b = cfg["cols"]
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     scatter = out_dir / "scatter.csv"
@@ -316,46 +370,32 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
 # the benchmark grid
 
 
-_BENCH_DEFAULTS = {
-    "dims": [2], "mixes": [10], "seeds": [0], "n": 16384,
-    "source_kind": "sine_mixture", "source_params": {}, "source_seed": 0,
-    "mix_seed": 0, "mix_hidden": 16, "train": {}, "out_dir": "bench",
-    "threads": 1,
-}
-
-
 def _bench_one(d: int, iterations: int, seed: int, cfg: dict) -> dict:
     spec = datagen.SourceSpec(
-        kind=cfg["source_kind"], d=d, n=int(cfg["n"]),
-        seed=int(cfg["source_seed"]), params=cfg["source_params"],
+        cfg["source_kind"], d, cfg["n"], cfg["source_seed"], cfg["source_params"]
     )
     sources = datagen.generate(spec)
     pipeline = mixer.build_pipeline(
-        d, iterations, int(cfg["mix_hidden"]), RngStream(int(cfg["mix_seed"]))
+        d, iterations, cfg["mix_hidden"], RngStream(cfg["mix_seed"])
     )
     mixed = mixer.mix(pipeline, sources)
-    train_cfg = _train_config({**_TRAIN_DEFAULTS, **cfg["train"], "seed": seed})
-    model, _ = trainer.train(mixed, train_cfg)
+    model, _ = trainer.train(mixed, trainer.TrainConfig(**cfg["train"], seed=seed))
     report = metrics.score(trainer.encode(model, mixed), sources)
     return {"ots": report.ots, "max_corr": report.max_corr}
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _BENCH_DEFAULTS)
+    cfg = _resolve(args, _BENCH)
     if not (cfg["dims"] and cfg["mixes"] and cfg["seeds"]):
         raise FileFormatError("bench needs nonempty dims, mixes and seeds lists")
     env_cap = os.environ.get("WICA_LAB_THREADS")
-    threads = int(cfg["threads"])
+    threads = cfg["threads"]
     if env_cap is not None:
-        threads = min(threads, max(1, int(env_cap)))
+        threads = min(threads, max(1, _parse("WICA_LAB_THREADS", _int, env_cap)))
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    runs = [
-        (int(d), int(it), int(seed))
-        for d in cfg["dims"] for it in cfg["mixes"] for seed in cfg["seeds"]
-    ]
-    results: dict[tuple[int, int, int], dict] = {}
+    runs = [(d, it, seed) for d in cfg["dims"] for it in cfg["mixes"] for seed in cfg["seeds"]]
 
     def job(key: tuple[int, int, int]) -> tuple[tuple[int, int, int], dict]:
         d, it, seed = key
@@ -366,11 +406,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, res in pool.map(job, runs):
-                results[key] = res
+            results = dict(pool.map(job, runs))
     else:
-        for key in runs:
-            results[key] = job(key)[1]
+        results = dict(map(job, runs))
 
     runs_path = out_dir / "runs.csv"
     with runs_path.open("w", newline="") as fh:
@@ -385,11 +423,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     summary_path = out_dir / "summary.csv"
     with summary_path.open("w", newline="") as fh:
         fh.write("d,iterations,runs,ots_mean,ots_std,max_corr_mean,max_corr_std\n")
-        for d in sorted(int(v) for v in cfg["dims"]):
-            for it in sorted(int(v) for v in cfg["mixes"]):
+        for d in sorted(cfg["dims"]):
+            for it in sorted(cfg["mixes"]):
                 cell = [
-                    results[(d, it, int(s))] for s in cfg["seeds"]
-                    if results[(d, it, int(s))]["status"] == "ok"
+                    results[(d, it, s)] for s in cfg["seeds"]
+                    if results[(d, it, s)]["status"] == "ok"
                 ]
                 if cell:
                     ots_v = np.array([r["ots"] for r in cell])
@@ -412,99 +450,40 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_config_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file with defaults for this command")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wica-lab",
         description="Nonlinear ICA toolkit: generate, mix, train, score.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("generate", help="synthesize independent sources")
-    _add_config_flag(p)
-    p.add_argument("--kind", choices=datagen.KINDS)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--params", help="kind-specific JSON object")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_generate)
-
-    p = subs.add_parser("mix", help="apply an invertible nonlinear mixing")
-    _add_config_flag(p)
-    p.add_argument("--data")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--pipeline-out", dest="pipeline_out")
-    p.set_defaults(func=_cmd_mix)
-
-    p = subs.add_parser("unmix-exact", help="invert a saved mixing pipeline")
-    _add_config_flag(p)
-    p.add_argument("--data")
-    p.add_argument("--pipeline")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_unmix_exact)
-
-    p = subs.add_parser("train", help="fit the unmixing autoencoder")
-    _add_config_flag(p)
-    p.add_argument("--data")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--num-weighting-points", dest="num_weighting_points", type=int)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
-    p.add_argument("--log-every", dest="log_every", type=int)
-    p.add_argument("--hidden-sizes", dest="hidden_sizes", help="e.g. 128,128,128")
-    p.add_argument("--rec-norm", dest="rec_norm", choices=("mean", "sum"))
-    p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--trace-out", dest="trace_out")
-    p.set_defaults(func=_cmd_train)
-
-    p = subs.add_parser("encode", help="apply a trained encoder")
-    _add_config_flag(p)
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_encode)
-
-    p = subs.add_parser("score", help="OTS and max_corr against true sources")
-    _add_config_flag(p)
-    p.add_argument("z_pos", nargs="?", metavar="retrieved.csv")
-    p.add_argument("sources_pos", nargs="?", metavar="sources.csv")
-    p.add_argument("--z")
-    p.add_argument("--sources")
-    p.add_argument("--out")
-    p.add_argument("--no-matrices", dest="matrices", action="store_false", default=None)
-    p.set_defaults(func=_cmd_score)
-
-    p = subs.add_parser("wii", help="weighted independence index of a dataset")
-    _add_config_flag(p)
-    p.add_argument("--data")
-    p.add_argument("--num-points", dest="num_points", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_wii)
-
-    p = subs.add_parser("bench", help="run a (dims x mixes x seeds) grid")
-    _add_config_flag(p)
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--threads", type=int)
-    p.set_defaults(func=_cmd_bench)
-
-    p = subs.add_parser("plot-data", help="scatter and 50-bin marginals as CSV")
-    _add_config_flag(p)
-    p.add_argument("--data")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--cols", help="two column indices, e.g. 0,1")
-    p.set_defaults(func=_cmd_plot_data)
-
+    for name, func, table, flags, help_ in (
+        ("generate", _cmd_generate, _GENERATE, _GENERATE, "synthesize independent sources"),
+        ("mix", _cmd_mix, _MIX, _MIX, "apply an invertible nonlinear mixing"),
+        ("unmix-exact", _cmd_unmix_exact, _UNMIX_EXACT, _UNMIX_EXACT,
+         "invert a saved mixing pipeline"),
+        ("train", _cmd_train, _TRAIN, _TRAIN, "fit the unmixing autoencoder"),
+        ("encode", _cmd_encode, _ENCODE, _ENCODE, "apply a trained encoder"),
+        ("score", _cmd_score, _SCORE, ("z", "sources", "out"),
+         "OTS and max_corr against true sources"),
+        ("wii", _cmd_wii, _WII, _WII, "weighted independence index of a dataset"),
+        ("bench", _cmd_bench, _BENCH, ("out_dir", "threads"),
+         "run a (dims x mixes x seeds) grid"),
+        ("plot-data", _cmd_plot_data, _PLOT_DATA, _PLOT_DATA,
+         "scatter and 50-bin marginals as CSV"),
+    ):
+        p = subs.add_parser(name, help=help_)
+        p.add_argument("--config", help="JSON file with defaults for this command")
+        for key in flags:
+            parse = table[key][0]
+            p.add_argument(
+                f"--{key.replace('_', '-')}", dest=key, choices=getattr(parse, "choices", None),
+                metavar=getattr(parse, "metavar", None),
+            )
+        p.set_defaults(func=func)
+    score = subs.choices["score"]
+    score.add_argument("z_pos", nargs="?", metavar="retrieved.csv")
+    score.add_argument("sources_pos", nargs="?", metavar="sources.csv")
+    score.add_argument("--no-matrices", dest="matrices", action="store_false", default=None)
     return parser
 
 
@@ -512,10 +491,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return int(args.func(args))
-    except (FileFormatError, DimensionError, NonFiniteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FileFormatError, DimensionError, NonFiniteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WicaError as exc:

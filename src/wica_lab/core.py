@@ -11,6 +11,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import csv
+import json
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -354,6 +355,8 @@ class RngStream:
 
     def __init__(self, seed: int, _path: tuple[str, ...] = ()) -> None:
         self.seed = int(seed)
+        if self.seed < 0:
+            raise DimensionError(f"seed must be nonnegative, got {self.seed}")
         self.path = tuple(_path)
         entropy = [self.seed] + [_tag_key(t) for t in self.path]
         self._gen = np.random.Generator(
@@ -426,4 +429,43 @@ def load_csv(path) -> np.ndarray:
     arr = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise FileFormatError(f"{path}: non-finite values")
+    return arr
+
+
+# ---------------------------------------------------------------------------
+# JSON files
+
+
+def _read_json_object(path, fields=()) -> dict:
+    """The JSON object in a file, checked to carry the given fields."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(
+            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
+        ) from None
+    return _require_fields(doc, fields, str(path))
+
+
+def _require_fields(obj, fields, where: str) -> dict:
+    """obj itself, once it is known to be a dict holding every field."""
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{where}: must be a JSON object")
+    for name in fields:
+        if name not in obj:
+            raise FileFormatError(f"{where}: missing field {name!r}")
+    return obj
+
+
+def _array_from_json(obj, where: str, ndim: int) -> np.ndarray:
+    """A float64 array of the given ndim read from a JSON value."""
+    try:
+        arr = np.asarray(obj, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"{where}: {exc}") from None
+    if arr.ndim != ndim:
+        raise FileFormatError(f"{where}: expected {ndim}-dimensional array, got ndim={arr.ndim}")
     return arr

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_data, average_ranks, pearson_corr_matrix
+from .core import _read_json_object, as_data, average_ranks, pearson_corr_matrix
 from .errors import DimensionError, FileFormatError, NonFiniteError
 
 __all__ = [
@@ -235,23 +235,12 @@ def save_report(path, report: ScoreReport, *, matrices: bool = True) -> None:
 
 
 def load_report(path) -> ScoreReport:
-    path = Path(path)
+    doc = _read_json_object(
+        path, ("ots", "max_corr", "assignment_ots", "assignment_max_corr")
+    )
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
-        ) from None
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
-    for field in ("ots", "max_corr", "assignment_ots", "assignment_max_corr"):
-        if field not in doc:
-            raise FileFormatError(f"{path}: missing field {field!r}")
-    d = len(doc["assignment_ots"])
-    empty = np.full((d, d), np.nan)
-    try:
+        d = len(doc["assignment_ots"])
+        empty = np.full((d, d), np.nan)
         return ScoreReport(
             ots=float(doc["ots"]),
             max_corr=float(doc["max_corr"]),

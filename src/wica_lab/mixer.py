@@ -15,7 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import RngStream, as_data, sample_haar_orthogonal
+from .core import (
+    RngStream, _array_from_json, _read_json_object, _require_fields, as_data,
+    sample_haar_orthogonal,
+)
 from .errors import DimensionError, FileFormatError
 
 __all__ = [
@@ -40,6 +43,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+_NET_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
 @dataclass(frozen=True, eq=False)
 class CouplingNet:
     """Fixed random feed-forward net: two tanh hidden layers, linear out."""
@@ -52,7 +58,7 @@ class CouplingNet:
     b3: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        for name in _NET_FIELDS:
             arr = _frozen(getattr(self, name))
             if not np.all(np.isfinite(arr)):
                 raise DimensionError(f"coupling net {name} has non-finite entries")
@@ -228,38 +234,15 @@ def unmix_exact(pipeline: MixingPipeline, x) -> np.ndarray:
 
 
 def _net_to_json(net: CouplingNet) -> dict:
-    return {
-        "w1": net.w1.tolist(),
-        "b1": net.b1.tolist(),
-        "w2": net.w2.tolist(),
-        "b2": net.b2.tolist(),
-        "w3": net.w3.tolist(),
-        "b3": net.b3.tolist(),
-    }
-
-
-def _matrix_from_json(obj, field: str, ndim: int) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"field {field!r}: {exc}") from None
-    if arr.ndim != ndim:
-        raise FileFormatError(
-            f"field {field!r}: expected {ndim}-dimensional array, got ndim={arr.ndim}"
-        )
-    return arr
+    return {name: getattr(net, name).tolist() for name in _NET_FIELDS}
 
 
 def _net_from_json(obj, where: str) -> CouplingNet:
-    if not isinstance(obj, dict):
-        raise FileFormatError(f"{where}: coupling net must be an object")
-    parts = {}
-    for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
-        if name not in obj:
-            raise FileFormatError(f"{where}: missing field {name!r}")
-        parts[name] = _matrix_from_json(
-            obj[name], f"{where}.{name}", 2 if name.startswith("w") else 1
-        )
+    obj = _require_fields(obj, _NET_FIELDS, where)
+    parts = {
+        name: _array_from_json(obj[name], f"{where}.{name}", 2 if name[0] == "w" else 1)
+        for name in _NET_FIELDS
+    }
     try:
         return CouplingNet(**parts)
     except DimensionError as exc:
@@ -279,20 +262,7 @@ def save_pipeline(path, pipeline: MixingPipeline) -> None:
 
 
 def load_pipeline(path) -> MixingPipeline:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
-        ) from None
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
-    for field in ("d", "seed", "stages"):
-        if field not in doc:
-            raise FileFormatError(f"{path}: missing field {field!r}")
+    doc = _read_json_object(path, ("d", "seed", "stages"))
     d, seed, raw_stages = doc["d"], doc["seed"], doc["stages"]
     if not isinstance(d, int) or not isinstance(seed, int):
         raise FileFormatError(f"{path}: 'd' and 'seed' must be integers")
@@ -301,12 +271,8 @@ def load_pipeline(path) -> MixingPipeline:
     stages = []
     for t, raw in enumerate(raw_stages, start=1):
         where = f"{path}: stage {t}"
-        if not isinstance(raw, dict):
-            raise FileFormatError(f"{where}: must be an object")
-        for field in ("q", "phi", "parity"):
-            if field not in raw:
-                raise FileFormatError(f"{where}: missing field {field!r}")
-        q = _matrix_from_json(raw["q"], f"stage {t}.q", 2)
+        raw = _require_fields(raw, ("q", "phi", "parity"), where)
+        q = _array_from_json(raw["q"], f"{where}.q", 2)
         phi = _net_from_json(raw["phi"], f"{where}.phi")
         try:
             stages.append(MixingStage(q, phi, raw["parity"]))

@@ -33,7 +33,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RngStream, _normalize_parts, as_data
+from .core import (
+    RngStream, _array_from_json, _normalize_parts, _read_json_object, _require_fields, as_data,
+)
 from .errors import (
     DimensionError,
     FileFormatError,
@@ -474,24 +476,13 @@ def save_model(path, model: AutoEncoderModel, cfg: TrainConfig) -> None:
 
 
 def _mlp_from_json(obj, where: str) -> MlpParams:
-    if not isinstance(obj, dict):
-        raise FileFormatError(f"{where}: must be an object")
-    n_layers = len(obj) // 2
+    n_layers = len(_require_fields(obj, (), where)) // 2
+    layers = range(1, n_layers + 1)
     if n_layers < 1 or len(obj) != 2 * n_layers:
         raise FileFormatError(f"{where}: expected w1/b1..wL/bL fields")
-    weights = []
-    biases = []
-    for l in range(1, n_layers + 1):
-        for key, store, ndim in ((f"w{l}", weights, 2), (f"b{l}", biases, 1)):
-            if key not in obj:
-                raise FileFormatError(f"{where}: missing field {key!r}")
-            try:
-                arr = np.asarray(obj[key], dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise FileFormatError(f"{where}.{key}: {exc}") from None
-            if arr.ndim != ndim:
-                raise FileFormatError(f"{where}.{key}: expected ndim={ndim}")
-            store.append(arr)
+    _require_fields(obj, [f"{p}{l}" for l in layers for p in "wb"], where)
+    weights = [_array_from_json(obj[f"w{l}"], f"{where}.w{l}", 2) for l in layers]
+    biases = [_array_from_json(obj[f"b{l}"], f"{where}.b{l}", 1) for l in layers]
     sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
     try:
         return MlpParams(sizes, weights, biases)
@@ -500,31 +491,10 @@ def _mlp_from_json(obj, where: str) -> MlpParams:
 
 
 def load_model(path) -> tuple[AutoEncoderModel, TrainConfig]:
-    path = Path(path)
+    doc = _read_json_object(path, ("d", "config", "encoder", "decoder"))
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
-        ) from None
-    if not isinstance(doc, dict):
-        raise FileFormatError(f"{path}: top level must be an object")
-    for name in ("d", "config", "encoder", "decoder"):
-        if name not in doc:
-            raise FileFormatError(f"{path}: missing field {name!r}")
-    raw_cfg = doc["config"]
-    if not isinstance(raw_cfg, dict):
-        raise FileFormatError(f"{path}: 'config' must be an object")
-    try:
-        cfg = TrainConfig(
-            **{
-                **raw_cfg,
-                "hidden_sizes": tuple(raw_cfg.get("hidden_sizes", ())),
-            }
-        )
-    except (TypeError, DimensionError) as exc:
+        cfg = TrainConfig(**_require_fields(doc["config"], (), f"{path}: config"))
+    except (TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad config: {exc}") from None
     encoder = _mlp_from_json(doc["encoder"], f"{path}: encoder")
     decoder = _mlp_from_json(doc["decoder"], f"{path}: decoder")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RngStream, _weighted_cov_parts, as_data, normalize_componentwise
-from .errors import DimensionError, InsufficientDataError, WeightCollapseError
+from .errors import DimensionError, InsufficientDataError, NonFiniteError, WeightCollapseError
 
 __all__ = [
     "WiiConfig",
@@ -77,6 +77,8 @@ def _as_point(p, d: int) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (d,):
         raise DimensionError(f"weighting point must have shape ({d},), got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise NonFiniteError("weighting point contains non-finite values")
     return p
 
 

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wica_lab.cli import main
+from wica_lab.cli import build_parser, main
 from wica_lab.core import load_csv, normalize_componentwise
+from wica_lab.errors import FileFormatError
+from wica_lab.metrics import load_report
+from wica_lab.mixer import load_pipeline
+from wica_lab.trainer import load_model
 
 DATA = Path(__file__).parent / "data"
 
@@ -175,6 +180,45 @@ def test_invalid_config_json_exits_2(tmp_path, monkeypatch):
     assert main(["generate", "--config", "cfg.json"]) == 2
 
 
+# at least one case per subcommand: a value its option's parser cannot read
+# exactly, a value out of range, or a key no option table declares
+_MALFORMED = [
+    ("generate", ["--config", "cfg.json"], {"d": "two"}, None, "sources.csv"),
+    ("generate", ["--config", "cfg.json"], {"n": 64.5, "d": 2.9}, None, "sources.csv"),
+    ("mix", ["--data", "data.csv", "--seed", "-1"], None, None, "mixed.csv"),
+    ("unmix-exact", ["--data", "data.csv", "--config", "cfg.json"], {"pipeline": 5}, None,
+     "recovered.csv"),
+    ("train", ["--data", "data.csv", "--steps", "1", "--config", "cfg.json"],
+     {"hidden_sizes": "a,b"}, None, "model.json"),
+    ("encode", ["--data", "data.csv", "--config", "cfg.json"], {"model": 3}, None, "encoded.csv"),
+    ("score", ["data.csv", "data.csv", "--config", "cfg.json"], {"matrices": "no"}, None,
+     "report.json"),
+    ("wii", ["--data", "data.csv", "--config", "cfg.json"], {"num_points": 1.5}, None, "wii.json"),
+    ("bench", ["--config", "cfg.json", "--out-dir", "grid"], {"train": {"stepz": 2}}, None,
+     "grid/summary.csv"),
+    ("bench", ["--out-dir", "grid"], None, "abc", "grid/summary.csv"),
+    ("plot-data", ["--data", "data.csv", "--cols", "0"], None, None, "plots/scatter.csv"),
+]
+
+
+@pytest.mark.parametrize("command,argv,config,threads_env,primary", _MALFORMED,
+                         ids=[case[0] for case in _MALFORMED])
+def test_malformed_option_exits_2(tmp_path, monkeypatch, capsys, command, argv, config,
+                                  threads_env, primary):
+    monkeypatch.chdir(tmp_path)
+    _generate("data.csv", n=64)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config) + "\n")
+    if threads_env is None:
+        monkeypatch.delenv("WICA_LAB_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("WICA_LAB_THREADS", threads_env)
+    capsys.readouterr()
+    assert main([command, *argv]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / primary).exists()
+
+
 def test_train_batch_smaller_than_d_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main([
@@ -197,6 +241,73 @@ def test_diverging_training_exits_3(tmp_path, monkeypatch, capsys):
         ])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_flag_and_config_file_record_the_same_config_hash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _generate("data.csv", n=64)
+    argv = ["train", "--data", "../data.csv", "--steps", "2", "--batch-size", "32"]
+    (tmp_path / "flag").mkdir()
+    monkeypatch.chdir(tmp_path / "flag")
+    assert main([*argv, "--hidden-sizes", "8,8"]) == 0
+    (tmp_path / "file").mkdir()
+    monkeypatch.chdir(tmp_path / "file")
+    (tmp_path / "file" / "cfg.json").write_text('{"hidden_sizes": [8, 8]}\n')
+    assert main([*argv, "--config", "cfg.json"]) == 0
+    by_flag = _read_manifest(tmp_path / "flag" / "model.json")
+    by_file = _read_manifest(tmp_path / "file" / "model.json")
+    assert by_flag["config"]["hidden_sizes"] == [8, 8]
+    assert by_flag["config_hash"] == by_file["config_hash"]
+
+
+# ---------------------------------------------------------------------------
+# file formats
+
+
+def _load_config(path: Path) -> None:
+    """The --config reader, seen through the CLI, where a bad file exits 2."""
+    if main(["train", "--config", str(path)]) == 2:
+        raise FileFormatError(f"{path}: exit 2")
+
+
+_NOT_AN_OBJECT = "[1, 2]\n"
+
+
+@pytest.mark.parametrize("load,text", [
+    (load_report, _NOT_AN_OBJECT),
+    (load_report, '{"ots": 1.0, "max_corr": 1.0, "assignment_ots": [0, 1]}\n'),
+    (load_report, '{"ots": 1.0, "max_corr": 1.0, "assignment_ots": 5, '
+                  '"assignment_max_corr": [0, 1]}\n'),
+    (load_pipeline, _NOT_AN_OBJECT),
+    (load_pipeline, '{"d": 2, "seed": 0}\n'),
+    (load_pipeline, '{"d": 2, "seed": 0, "stages": [{"q": [[1, 0], [0, 1]], "parity": "odd"}]}\n'),
+    (load_model, _NOT_AN_OBJECT),
+    (load_model, '{"d": 2, "config": {}, "encoder": {}}\n'),
+    (load_model, '{"d": 2, "config": [], "encoder": {}, "decoder": {}}\n'),
+    (_load_config, _NOT_AN_OBJECT),
+    (_load_config, '{"steps": 1}\n'),  # no "data"
+], ids=lambda v: getattr(v, "__name__", None))
+def test_loader_rejects_malformed_json_object(tmp_path, monkeypatch, load, text):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(FileFormatError):
+        load(path)
+
+
+def test_readme_command_lines_parse():
+    """Every `wica-lab ...` line of the README's "Command line" section is
+    accepted by the parser, so a flag spelling in the docs cannot drift."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    lines = [
+        line.strip() for line in section.replace("\\\n", " ").splitlines()
+        if line.strip().startswith("wica-lab ")
+    ]
+    assert len(lines) >= 8
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from wica_lab.core import RngStream, normalize_componentwise, weighted_cov
 from wica_lab.errors import (
     DimensionError,
     InsufficientDataError,
+    NonFiniteError,
     WeightCollapseError,
 )
 from wica_lab.wii import (
@@ -179,6 +180,14 @@ def test_wii_multi_raises_when_every_point_collapses():
     x = normalize_componentwise(g.standard_normal((400, 2)))
     with pytest.raises(WeightCollapseError):
         wii_multi(x, [np.array([1e6, 1e6]), np.array([-1e6, 1e6])])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [wii_at_point, gaussian_log_weights, lambda y, p: wii_multi(y, [p])])
+def test_non_finite_weighting_point_is_rejected(call, bad):
+    y = RngStream(40).split("nan").generator().standard_normal((100, 2))
+    with pytest.raises(NonFiniteError):
+        call(y, [bad, 0.0])
 
 
 def test_wii_multi_holds_one_point_at_a_time():
