@@ -11,14 +11,12 @@ correlations.
 from .core import (
     Dataset,
     RngStream,
-    WeightedSample,
     load_csv,
     normalize_componentwise,
     pearson_corr_matrix,
     polar_orthogonal,
     sample_haar_orthogonal,
     save_csv,
-    spearman_corr,
     weighted_cov,
     weighted_mean,
 )
@@ -94,7 +92,6 @@ __all__ = [
     "TrainTrace",
     "TrainingDivergedError",
     "WeightCollapseError",
-    "WeightedSample",
     "WicaError",
     "WiiConfig",
     "build_pipeline",
@@ -123,7 +120,6 @@ __all__ = [
     "save_trace",
     "score",
     "solve_assignment",
-    "spearman_corr",
     "train",
     "unmix_exact",
     "weighted_cov",

@@ -6,10 +6,12 @@ input digests), and never touches a wall clock, so rerunning a command
 with the same flags reproduces its artifacts byte for byte.
 
 Each subcommand declares its options once, in a table of (parser,
-default) entries.  The table generates the subcommand's flags, and every
-value, from a flag, a --config JSON file or bench's nested "train"
-object, is read by its option's parser.  A value a parser cannot read
-exactly, or a key the table does not declare, is a usage error.  The
+default) entries; the training and wii options come from the fields of
+TrainConfig and WiiConfig, typed by those dataclasses' own parsers.  The
+table generates the subcommand's flags, and every value, from a flag, a
+--config JSON file or bench's nested "train" object, is read by its
+option's parser.  A value a parser cannot read exactly or finds out of
+range, or a key the table does not declare, is a usage error.  The
 manifest records the parsed values, so a flag and a config file that
 describe the same run record the same config and config hash.
 
@@ -23,7 +25,6 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -32,7 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, metrics, mixer, trainer, wii
-from .core import Dataset, RngStream, _read_json_object, normalize_componentwise, save_csv
+from .core import (
+    Dataset, RngStream, _bool, _choice, _int, _int_list, _object, _parse, _parse_options,
+    _read_json_object, _str, normalize_componentwise, save_csv,
+)
 from .errors import DimensionError, FileFormatError, NonFiniteError, WicaError
 
 __all__ = ["main"]
@@ -68,101 +72,10 @@ def _write_manifest(primary: Path, command: str, config: dict, inputs: list[Path
 
 
 # ---------------------------------------------------------------------------
-# option parsers: each reads a flag string or a JSON value, or raises
-# FileFormatError
-
-
-def _str(value) -> str:
-    if isinstance(value, str):
-        return value
-    raise FileFormatError(f"expected a string, got {value!r}")
-
-
-def _int(value) -> int:
-    """A JSON integer, or a flag string that int() reads."""
-    try:
-        if isinstance(value, str) or type(value) is int:
-            return int(value)
-    except ValueError:
-        pass
-    raise FileFormatError(f"expected an integer, got {value!r}")
-
-
-def _float(value) -> float:
-    """A finite JSON number, or a flag string that float() reads as one."""
-    try:
-        if isinstance(value, (str, float)) or type(value) is int:
-            out = float(value)
-            if math.isfinite(out):
-                return out
-    except (ValueError, OverflowError):
-        pass
-    raise FileFormatError(f"expected a finite number, got {value!r}")
-
-
-def _bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise FileFormatError(f"expected true or false, got {value!r}")
-
-
-def _int_list(value) -> list[int]:
-    """A JSON list of integers, or a comma-separated flag string."""
-    if isinstance(value, str):
-        value = value.split(",")
-    if not isinstance(value, list):
-        raise FileFormatError(f"expected a list of integers, got {value!r}")
-    return [_int(v) for v in value]
-
-
-def _object(value) -> dict:
-    """A JSON object, or a flag string that holds one."""
-    if isinstance(value, str):
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"invalid JSON ({exc.msg})") from None
-    if not isinstance(value, dict):
-        raise FileFormatError(f"expected a JSON object, got {value!r}")
-    return value
-
-
-_int_list.metavar = "N,N,..."
-_object.metavar = "JSON"
-
-
-def _choice(*names: str):
-    def parse(value) -> str:
-        if value in names:
-            return value
-        raise FileFormatError(f"expected one of {', '.join(names)}, got {value!r}")
-    parse.choices = names
-    return parse
-
-
-def _optional(parse):
-    return lambda value: None if value is None else parse(value)
+# option tables
 
 
 _REQUIRED = object()  # default of an option every run must set
-
-
-def _parse(key: str, parse, value):
-    try:
-        return parse(value)
-    except FileFormatError as exc:
-        raise FileFormatError(f"{key}: {exc}") from None
-
-
-def _parse_options(table: dict, given: dict) -> dict:
-    """Every option of the table: its parsed value if given, else its default."""
-    for key in given:
-        if key not in table:
-            raise FileFormatError(f"unknown config key {key!r}")
-    return {
-        key: _parse(key, parse, given[key]) if key in given else default
-        for key, (parse, default) in table.items()
-    }
 
 
 def _resolve(args: argparse.Namespace, table: dict) -> dict:
@@ -176,8 +89,13 @@ def _resolve(args: argparse.Namespace, table: dict) -> dict:
     return cfg
 
 
-# ---------------------------------------------------------------------------
-# option tables
+def _config_options(config_cls, *skip: str) -> dict:
+    """The fields of a config dataclass as (parser, default) entries, typed
+    by the dataclass's own parsers, with its defaults."""
+    return {
+        key: (config_cls._FIELDS[key], default)
+        for key, default in asdict(config_cls()).items() if key not in skip
+    }
 
 
 _GENERATE = {
@@ -191,16 +109,7 @@ _MIX = {
 _UNMIX_EXACT = {
     "data": (_str, _REQUIRED), "pipeline": (_str, _REQUIRED), "out": (_str, "recovered.csv"),
 }
-_TRAIN_PARSERS = {
-    "beta": _float, "batch_size": _int, "steps": _int, "learning_rate": _float,
-    "seed": _int, "num_weighting_points": _optional(_int),
-    "optimizer": _choice("adam", "sgd"), "log_every": _int, "hidden_sizes": _int_list,
-    "rec_norm": _choice("mean", "sum"),
-}
-# the TrainConfig fields, with TrainConfig's defaults
-_TRAIN_CONFIG = {
-    key: (_TRAIN_PARSERS[key], default) for key, default in asdict(trainer.TrainConfig()).items()
-}
+_TRAIN_CONFIG = _config_options(trainer.TrainConfig)
 _TRAIN = {
     "data": (_str, _REQUIRED), **_TRAIN_CONFIG,
     "model_out": (_str, "model.json"), "trace_out": (_str, "trace.csv"),
@@ -211,14 +120,14 @@ _SCORE = {
     "matrices": (_bool, True),
 }
 _WII = {
-    "data": (_str, _REQUIRED), "num_points": (_optional(_int), None), "seed": (_int, 0),
+    "data": (_str, _REQUIRED), **_config_options(wii.WiiConfig), "seed": (_int, 0),
     "out": (_str, "wii.json"),
 }
-_PLOT_DATA = {"data": (_str, _REQUIRED), "out_dir": (_str, "plots"), "cols": (_int_list, [0, 1])}
+_PLOT_DATA = {"data": (_str, _REQUIRED), "out_dir": (_str, "plots"), "cols": (_int_list, (0, 1))}
 # each grid cell trains with its own seed from "seeds"
-_BENCH_TRAIN = {key: entry for key, entry in _TRAIN_CONFIG.items() if key != "seed"}
+_BENCH_TRAIN = _config_options(trainer.TrainConfig, "seed")
 _BENCH = {
-    "dims": (_int_list, [2]), "mixes": (_int_list, [10]), "seeds": (_int_list, [0]),
+    "dims": (_int_list, (2,)), "mixes": (_int_list, (10,)), "seeds": (_int_list, (0,)),
     "n": (_int, 16384), "source_kind": (_choice(*datagen.KINDS), "sine_mixture"),
     "source_params": (_object, {}), "source_seed": (_int, 0), "mix_seed": (_int, 0),
     "mix_hidden": (_int, 16),
@@ -388,6 +297,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _BENCH)
     if not (cfg["dims"] and cfg["mixes"] and cfg["seeds"]):
         raise FileFormatError("bench needs nonempty dims, mixes and seeds lists")
+    datagen.resolve_params(cfg["source_kind"], cfg["source_params"])
     env_cap = os.environ.get("WICA_LAB_THREADS")
     threads = cfg["threads"]
     if env_cap is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +30,6 @@ from .errors import (
 
 __all__ = [
     "Dataset",
-    "WeightedSample",
     "RngStream",
     "as_data",
     "as_weights",
@@ -38,7 +38,6 @@ __all__ = [
     "normalize_componentwise",
     "average_ranks",
     "pearson_corr_matrix",
-    "spearman_corr",
     "polar_orthogonal",
     "sample_haar_orthogonal",
     "load_csv",
@@ -92,40 +91,9 @@ class Dataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", as_data(self.x, min_cols=2, name="dataset"))
 
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
     @classmethod
     def load(cls, path) -> "Dataset":
         return cls(load_csv(path))
-
-    def save(self, path) -> None:
-        save_csv(path, self.x)
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedSample:
-    """Samples paired with nonnegative weights, one weight per row."""
-
-    x: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        x = as_data(self.x, name="weighted sample")
-        w = as_weights(self.w, x.shape[0])
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "w", w)
-
-    def mean(self) -> np.ndarray:
-        return weighted_mean(self.x, self.w)
-
-    def cov(self) -> np.ndarray:
-        return weighted_cov(self.x, self.w)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +214,6 @@ def _centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xc = np.array(x.T, order="C")  # always a copy: centered in place below
     xc -= (np.add.reduce(xc, axis=1) / x.shape[0])[:, None]
     return xc, np.add.reduce(xc * xc, axis=1)
-
-
-def spearman_corr(a, b) -> float:
-    """Spearman rank correlation of two vectors (average ranks on ties)."""
-    ra = average_ranks(a)
-    rb = average_ranks(b)
-    if ra.shape != rb.shape:
-        raise DimensionError("vectors must have equal length")
-    return float(pearson_corr_matrix(ra[:, None], rb[:, None])[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -469,3 +428,124 @@ def _array_from_json(obj, where: str, ndim: int) -> np.ndarray:
     if arr.ndim != ndim:
         raise FileFormatError(f"{where}: expected {ndim}-dimensional array, got ndim={arr.ndim}")
     return arr
+
+
+# ---------------------------------------------------------------------------
+# option parsers: each reads a flag string or a JSON value.  A value of the
+# wrong type raises FileFormatError; a value out of range, or a string
+# outside a choice, raises DimensionError.  A parsed value parses to itself.
+
+
+def _str(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise FileFormatError(f"expected a string, got {value!r}")
+
+
+def _int(value) -> int:
+    """A JSON integer, or a flag string that int() reads."""
+    try:
+        if isinstance(value, str) or type(value) is int:
+            return int(value)
+    except ValueError:
+        pass
+    raise FileFormatError(f"expected an integer, got {value!r}")
+
+
+def _float(value) -> float:
+    """A finite JSON number, or a flag string that float() reads as one."""
+    try:
+        if isinstance(value, (str, float)) or type(value) is int:
+            out = float(value)
+            if math.isfinite(out):
+                return out
+    except (ValueError, OverflowError):
+        pass
+    raise FileFormatError(f"expected a finite number, got {value!r}")
+
+
+def _bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise FileFormatError(f"expected true or false, got {value!r}")
+
+
+def _list_of(parse):
+    """A JSON list (or tuple) of values parse reads, or a comma-separated
+    flag string of them; the result is a tuple."""
+    def parse_list(value) -> tuple:
+        if isinstance(value, str):
+            value = value.split(",")
+        if not isinstance(value, (list, tuple)):
+            raise FileFormatError(f"expected a list, got {value!r}")
+        return tuple(parse(v) for v in value)
+    parse_list.metavar = "N,N,..."
+    return parse_list
+
+
+_int_list = _list_of(_int)
+
+
+def _object(value) -> dict:
+    """A JSON object, or a flag string that holds one."""
+    if isinstance(value, str):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(f"invalid JSON ({exc.msg})") from None
+    if not isinstance(value, dict):
+        raise FileFormatError(f"expected a JSON object, got {value!r}")
+    return value
+
+
+_object.metavar = "JSON"
+
+
+def _choice(*names: str):
+    def parse(value) -> str:
+        if value in names:
+            return value
+        error = DimensionError if isinstance(value, str) else FileFormatError
+        raise error(f"expected one of {', '.join(names)}, got {value!r}")
+    parse.choices = names
+    return parse
+
+
+def _at_least(parse, low, *, strict: bool = False):
+    """parse, then a DimensionError unless the value is >= low (> low if strict)."""
+    def bounded(value):
+        out = parse(value)
+        if out < low or (strict and out == low):
+            raise DimensionError(f"must be {'>' if strict else '>='} {low}, got {out}")
+        return out
+    return bounded
+
+
+def _optional(parse):
+    return lambda value: None if value is None else parse(value)
+
+
+def _parse(key: str, parse, value):
+    try:
+        return parse(value)
+    except (FileFormatError, DimensionError) as exc:
+        raise type(exc)(f"{key}: {exc}") from None
+
+
+def _parse_options(table: dict, given: dict) -> dict:
+    """Every option of a table of (parser, default) entries: its parsed
+    value if given, else its default."""
+    for key in given:
+        if key not in table:
+            raise FileFormatError(f"unknown key {key!r}")
+    return {
+        key: _parse(key, parse, given[key]) if key in given else default
+        for key, (parse, default) in table.items()
+    }
+
+
+def _parse_fields(obj, table: dict) -> None:
+    """Replace each field of a frozen dataclass by its value as the table's
+    parser for that field reads it."""
+    for key, parse in table.items():
+        object.__setattr__(obj, key, _parse(key, parse, getattr(obj, key)))

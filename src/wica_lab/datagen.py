@@ -21,19 +21,40 @@ from typing import Any
 
 import numpy as np
 
-from .core import RngStream, normalize_componentwise
-from .errors import DimensionError
+from .core import (
+    RngStream, _at_least, _float, _object, _parse_options, normalize_componentwise,
+)
+from .errors import DimensionError, FileFormatError
 
-__all__ = ["KINDS", "SourceSpec", "generate"]
-
-KINDS = ("lattice", "uniform", "laplace", "sine_mixture", "fig1_dependent")
+__all__ = ["KINDS", "SourceSpec", "generate", "resolve_params"]
 
 _LATTICE_ROW_CAP = 10 ** 6
 
 
+def resolve_params(kind: str, params) -> dict:
+    """Every param of a kind: its parsed value if given, else its default.
+
+    A key the kind does not take or a value of the wrong type is a
+    FileFormatError; a degenerate or inverted range is a DimensionError.
+    """
+    if kind not in KINDS:
+        raise DimensionError(f"kind must be one of {KINDS}, got {kind!r}")
+    try:
+        p = _parse_options(_KINDS[kind][1], _object(params))
+    except (FileFormatError, DimensionError) as exc:
+        raise type(exc)(f"{kind} params: {exc}") from None
+    for low, high in (("omega_min", "omega_max"), ("radius_min", "radius_max")):
+        if low in p and p[low] > p[high]:
+            raise DimensionError(f"{low} {p[low]} exceeds {high} {p[high]}")
+    return p
+
+
 @dataclass(frozen=True)
 class SourceSpec:
-    """What to generate; the same spec always yields the same sample."""
+    """What to generate; the same spec always yields the same sample.
+
+    params holds every param of the kind, resolved by resolve_params.
+    """
 
     kind: str
     d: int
@@ -42,8 +63,7 @@ class SourceSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise DimensionError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "params", resolve_params(self.kind, self.params))
         if self.d < 2:
             raise DimensionError(f"need d >= 2, got d={self.d}")
         if self.n < 2:
@@ -54,8 +74,8 @@ class SourceSpec:
             raise DimensionError(f"seed must be nonnegative, got {self.seed}")
 
 
-def _lattice(spec: SourceSpec) -> np.ndarray:
-    # n is the per-axis count; total rows are n^d
+def _lattice(spec: SourceSpec, rng: RngStream) -> np.ndarray:
+    # n is the per-axis count; total rows are n^d; rng goes unused
     rows = spec.n ** spec.d
     if rows > _LATTICE_ROW_CAP:
         raise DimensionError(
@@ -77,38 +97,31 @@ def _laplace(spec: SourceSpec, rng: RngStream) -> np.ndarray:
 
 def _sine_mixture(spec: SourceSpec, rng: RngStream) -> np.ndarray:
     p = spec.params
-    t_max = float(p.get("t_max", 200.0))
-    omega_lo = float(p.get("omega_min", 1.0))
-    omega_hi = float(p.get("omega_max", 4.0))
-    min_sep = float(p.get("min_sep", 0.3))
     gen = rng.generator()
     omegas: list[float] = []
     # rejection keeps frequencies apart; near-equal pairs would trace a
     # closed Lissajous figure and reintroduce dependence
     attempts = 0
     while len(omegas) < spec.d:
-        cand = float(gen.uniform(omega_lo, omega_hi))
+        cand = float(gen.uniform(p["omega_min"], p["omega_max"]))
         attempts += 1
         if attempts > 1000 * spec.d:
             raise DimensionError(
                 "cannot fit frequencies: shrink min_sep or widen the omega range"
             )
-        if all(abs(cand - o) >= min_sep for o in omegas):
+        if all(abs(cand - o) >= p["min_sep"] for o in omegas):
             omegas.append(cand)
     phases = gen.uniform(0.0, 2.0 * np.pi, size=spec.d)
-    t = np.linspace(0.0, t_max, spec.n)
+    t = np.linspace(0.0, p["t_max"], spec.n)
     return np.sin(np.outer(t, np.array(omegas)) + phases)
 
 
 def _fig1_dependent(spec: SourceSpec, rng: RngStream) -> np.ndarray:
     p = spec.params
-    half_angle = float(p.get("half_angle", np.pi / 4.0))
-    r_lo = float(p.get("radius_min", 0.9))
-    r_hi = float(p.get("radius_max", 1.1))
     gen = rng.generator()
     half = (spec.n + 1) // 2
-    theta = gen.uniform(-half_angle, half_angle, size=half)
-    radius = gen.uniform(r_lo, r_hi, size=half)
+    theta = gen.uniform(-p["half_angle"], p["half_angle"], size=half)
+    radius = gen.uniform(p["radius_min"], p["radius_max"], size=half)
     arc = np.column_stack([radius * np.cos(theta), radius * np.sin(theta)])
     # mirroring through the vertical axis zeroes the empirical Pearson
     # correlation exactly while keeping the two arcs sharply dependent
@@ -116,17 +129,25 @@ def _fig1_dependent(spec: SourceSpec, rng: RngStream) -> np.ndarray:
     return both[: spec.n]
 
 
+# each kind's generator, and its params as (parser, default) entries
+_KINDS = {
+    "lattice": (_lattice, {}),
+    "uniform": (_uniform, {}),
+    "laplace": (_laplace, {}),
+    "sine_mixture": (_sine_mixture, {
+        "t_max": (_at_least(_float, 0.0, strict=True), 200.0), "omega_min": (_float, 1.0),
+        "omega_max": (_float, 4.0), "min_sep": (_float, 0.3),
+    }),
+    "fig1_dependent": (_fig1_dependent, {
+        "half_angle": (_at_least(_float, 0.0, strict=True), np.pi / 4.0),
+        "radius_min": (_float, 0.9), "radius_max": (_float, 1.1),
+    }),
+}
+
+KINDS = tuple(_KINDS)
+
+
 def generate(spec: SourceSpec) -> np.ndarray:
     """Build the sample for a spec, componentwise normalized."""
     rng = RngStream(spec.seed).split(f"datagen-{spec.kind}")
-    if spec.kind == "lattice":
-        raw = _lattice(spec)
-    elif spec.kind == "uniform":
-        raw = _uniform(spec, rng)
-    elif spec.kind == "laplace":
-        raw = _laplace(spec, rng)
-    elif spec.kind == "sine_mixture":
-        raw = _sine_mixture(spec, rng)
-    else:
-        raw = _fig1_dependent(spec, rng)
-    return normalize_componentwise(raw)
+    return normalize_componentwise(_KINDS[spec.kind][0](spec, rng))

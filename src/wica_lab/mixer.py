@@ -109,9 +109,7 @@ class MixingStage:
         if self.parity not in PARITIES:
             raise DimensionError(f"parity must be one of {PARITIES}, got {self.parity!r}")
         d = q.shape[0]
-        hi = (d + 1) // 2
-        lo = d - hi
-        want_in, want_out = (hi, lo) if self.parity == "odd" else (lo, hi)
+        want_in, want_out = _coupling_sizes(d, self.parity)
         if (self.phi.in_size, self.phi.out_size) != (want_in, want_out):
             raise DimensionError(
                 f"{self.parity} stage at d={d} needs phi {want_in}->{want_out}, "
@@ -139,7 +137,7 @@ class MixingPipeline:
                 raise DimensionError(
                     f"stage {t} has d={stage.d}, pipeline has d={self.d}"
                 )
-            want = "odd" if t % 2 == 1 else "even"
+            want = _parity(t)
             if stage.parity != want:
                 raise DimensionError(f"stage {t} must have {want} parity")
 
@@ -151,6 +149,18 @@ def _split_sizes(d: int) -> tuple[int, int]:
     # first half gets the extra coordinate when d is odd
     hi = (d + 1) // 2
     return hi, d - hi
+
+
+def _coupling_sizes(d: int, parity: str) -> tuple[int, int]:
+    """(in, out) sizes of a stage's coupling net: an odd stage shifts the
+    second half by a function of the first, an even stage the reverse."""
+    hi, lo = _split_sizes(d)
+    return (hi, lo) if parity == "odd" else (lo, hi)
+
+
+def _parity(t: int) -> str:
+    """Parity of stage t (1-based): stages alternate, starting odd."""
+    return "odd" if t % 2 == 1 else "even"
 
 
 def _random_coupling(in_size: int, hidden: int, out_size: int, rng: RngStream) -> CouplingNet:
@@ -176,13 +186,12 @@ def build_pipeline(d: int, iterations: int, hidden: int, rng: RngStream) -> Mixi
         raise DimensionError(f"iterations must be >= 1, got {iterations}")
     if hidden < 1:
         raise DimensionError(f"hidden width must be >= 1, got {hidden}")
-    hi, lo = _split_sizes(d)
     stages = []
     for t in range(1, iterations + 1):
         branch = rng.split(f"stage-{t}")
         q = sample_haar_orthogonal(d, branch.split("isometry"))
-        parity = "odd" if t % 2 == 1 else "even"
-        in_size, out_size = (hi, lo) if parity == "odd" else (lo, hi)
+        parity = _parity(t)
+        in_size, out_size = _coupling_sizes(d, parity)
         phi = _random_coupling(in_size, hidden, out_size, branch.split("coupling"))
         stages.append(MixingStage(q, phi, parity))
     return MixingPipeline(tuple(stages), d, rng.seed)

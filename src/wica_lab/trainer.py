@@ -29,12 +29,13 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .core import (
-    RngStream, _array_from_json, _normalize_parts, _read_json_object, _require_fields, as_data,
+    RngStream, _array_from_json, _at_least, _choice, _float, _int, _list_of, _normalize_parts,
+    _optional, _parse_fields, _read_json_object, _require_fields, as_data,
 )
 from .errors import (
     DimensionError,
@@ -43,9 +44,7 @@ from .errors import (
     TrainingDivergedError,
     WeightCollapseError,
 )
-from .wii import (
-    WiiConfig, _map_surviving_points, _point_backward, _point_forward, sample_weighting_points,
-)
+from .wii import _map_surviving_points, _point_backward, _point_forward, sample_weighting_points
 
 __all__ = [
     "MlpParams",
@@ -69,18 +68,15 @@ __all__ = [
 
 _COLLAPSE_RETRIES = 5
 
-_ACTIVATIONS = ("tanh", "linear")
-
 
 @dataclass(eq=False)
 class MlpParams:
-    """Plain feed-forward parameters; weights[l] maps sizes[l] -> sizes[l+1]."""
+    """Feed-forward parameters, tanh hidden layers and a linear last layer;
+    weights[l] maps sizes[l] -> sizes[l+1]."""
 
     sizes: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    hidden_activation: str = "tanh"
-    output_activation: str = "linear"
 
     def __post_init__(self) -> None:
         self.sizes = tuple(int(s) for s in self.sizes)
@@ -93,10 +89,6 @@ class MlpParams:
             raise DimensionError(
                 f"{n_layers} layers need {n_layers} weight/bias pairs, got "
                 f"{len(self.weights)}/{len(self.biases)}"
-            )
-        if self.hidden_activation not in _ACTIVATIONS or self.output_activation != "linear":
-            raise DimensionError(
-                f"unsupported activations ({self.hidden_activation}, {self.output_activation})"
             )
         for l in range(n_layers):
             w = np.asarray(self.weights[l], dtype=np.float64)
@@ -157,7 +149,10 @@ class TrainConfig:
 
     num_weighting_points=None resolves to d.  rec_norm picks whether the
     reconstruction term is a batch mean ("mean", default, keeps beta
-    comparable across batch sizes) or the raw sum ("sum").
+    comparable across batch sizes) or the raw sum ("sum").  Each field is
+    read by its parser in _FIELDS, which the CLI's options share, so a
+    value of the wrong type is a FileFormatError and a value out of range
+    a DimensionError.
     """
 
     beta: float = 1.0
@@ -171,30 +166,16 @@ class TrainConfig:
     hidden_sizes: tuple[int, ...] = (128, 128, 128)
     rec_norm: str = "mean"
 
+    _FIELDS: ClassVar[dict] = {
+        "beta": _at_least(_float, 0.0), "batch_size": _at_least(_int, 2),
+        "steps": _at_least(_int, 0), "learning_rate": _at_least(_float, 0.0, strict=True),
+        "seed": _at_least(_int, 0), "num_weighting_points": _optional(_at_least(_int, 1)),
+        "optimizer": _choice("adam", "sgd"), "log_every": _at_least(_int, 1),
+        "hidden_sizes": _list_of(_at_least(_int, 1)), "rec_norm": _choice("mean", "sum"),
+    }
+
     def __post_init__(self) -> None:
-        if self.beta < 0:
-            raise DimensionError(f"beta must be >= 0, got {self.beta}")
-        if self.batch_size < 2:
-            raise DimensionError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.steps < 0:
-            raise DimensionError(f"steps must be >= 0, got {self.steps}")
-        if self.learning_rate <= 0:
-            raise DimensionError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.seed < 0:
-            raise DimensionError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.num_weighting_points is not None and self.num_weighting_points < 1:
-            raise DimensionError(
-                f"num_weighting_points must be >= 1 or None, got {self.num_weighting_points}"
-            )
-        if self.optimizer not in ("adam", "sgd"):
-            raise DimensionError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        if self.log_every < 1:
-            raise DimensionError(f"log_every must be >= 1, got {self.log_every}")
-        object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
-        if any(h < 1 for h in self.hidden_sizes):
-            raise DimensionError(f"hidden sizes must be positive: {self.hidden_sizes}")
-        if self.rec_norm not in ("mean", "sum"):
-            raise DimensionError(f"rec_norm must be 'mean' or 'sum', got {self.rec_norm!r}")
+        _parse_fields(self, self._FIELDS)
 
 
 class TraceRecord(NamedTuple):
@@ -311,8 +292,7 @@ def _cost_forward_backward(
         rec /= n
 
     y, u, sigma, denom = _normalize_parts(enc_out)
-    min_weight = WiiConfig().min_effective_weight
-    survivors = _map_surviving_points(lambda p: (p, _point_forward(y, p, min_weight)), points)
+    survivors = _map_surviving_points(lambda p: (p, _point_forward(y, p)), points)
     wii_value = float(np.mean([out[0] for _, out in survivors]))
     total = rec + cfg.beta * wii_value
     if not need_grad:
@@ -494,7 +474,7 @@ def load_model(path) -> tuple[AutoEncoderModel, TrainConfig]:
     doc = _read_json_object(path, ("d", "config", "encoder", "decoder"))
     try:
         cfg = TrainConfig(**_require_fields(doc["config"], (), f"{path}: config"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, FileFormatError) as exc:
         raise FileFormatError(f"{path}: bad config: {exc}") from None
     encoder = _mlp_from_json(doc["encoder"], f"{path}: encoder")
     decoder = _mlp_from_json(doc["decoder"], f"{path}: decoder")

@@ -18,10 +18,14 @@ index with one kernel, _point_forward; _point_backward differentiates it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .core import RngStream, _weighted_cov_parts, as_data, normalize_componentwise
+from .core import (
+    RngStream, _at_least, _int, _optional, _parse_fields, _weighted_cov_parts, as_data,
+    normalize_componentwise,
+)
 from .errors import DimensionError, InsufficientDataError, NonFiniteError, WeightCollapseError
 
 __all__ = [
@@ -37,6 +41,11 @@ __all__ = [
 ]
 
 
+# the weight mass a weighting point must keep beyond its top row, in
+# units of that row's weight; below it the point has collapsed
+_MIN_EFFECTIVE_WEIGHT = 1e-12
+
+
 @dataclass(frozen=True)
 class WiiConfig:
     """Knobs for the index.
@@ -46,18 +55,11 @@ class WiiConfig:
     """
 
     num_points: int | None = None
-    min_effective_weight: float = 1e-12
+
+    _FIELDS: ClassVar[dict] = {"num_points": _optional(_at_least(_int, 1))}
 
     def __post_init__(self) -> None:
-        if self.num_points is not None and self.num_points < 1:
-            raise DimensionError(
-                f"num_points must be >= 1 or None, got {self.num_points}"
-            )
-        if self.min_effective_weight < 0.0:
-            raise DimensionError(
-                "min_effective_weight must be >= 0, got "
-                f"{self.min_effective_weight}"
-            )
+        _parse_fields(self, self._FIELDS)
 
     def resolve_num_points(self, d: int) -> int:
         return d if self.num_points is None else self.num_points
@@ -87,19 +89,19 @@ def _log_weights(y: np.ndarray, p: np.ndarray) -> np.ndarray:
     return -0.5 * np.einsum("ij,ij->i", diff, diff)
 
 
-def weights_from_log(lw, *, min_effective_weight: float = 1e-12, point=None) -> np.ndarray:
+def weights_from_log(lw, *, point=None) -> np.ndarray:
     """Exponentiate log weights, shifted so the largest weight is 1.
 
     The shift is exact for every statistic downstream (weights enter
     only through ratios) and keeps exp() away from underflow.  If the
-    remaining weights carry less than min_effective_weight of combined
-    mass, the weighted sample has degenerated to a single row and the
-    covariance would be meaningless.
+    remaining weights carry less than 1e-12 of combined mass, the
+    weighted sample has degenerated to a single row and the covariance
+    would be meaningless.
     """
     lw = np.asarray(lw, dtype=np.float64)
     w = np.exp(lw - lw.max())
     effective = w.sum() - 1.0
-    if effective < min_effective_weight:
+    if effective < _MIN_EFFECTIVE_WEIGHT:
         raise WeightCollapseError(point, float(effective))
     return w
 
@@ -123,18 +125,16 @@ def dependence_coefficients(cov) -> np.ndarray:
     return c
 
 
-def wii_at_point(y, p, config: WiiConfig = WiiConfig()) -> float:
+def wii_at_point(y, p) -> float:
     """Index of the sample reweighted by a Gaussian bump at p."""
     y = as_data(y, min_cols=2, name="sample")
-    return _point_forward(y, _as_point(p, y.shape[1]), config.min_effective_weight)[0]
+    return _point_forward(y, _as_point(p, y.shape[1]))[0]
 
 
-def _point_forward(y: np.ndarray, p: np.ndarray, min_effective_weight: float):
+def _point_forward(y: np.ndarray, p: np.ndarray):
     """Unchecked index at p, plus the weights, total weight, centred rows
     and weighted covariance that _point_backward needs."""
-    w = weights_from_log(
-        _log_weights(y, p), min_effective_weight=min_effective_weight, point=p
-    )
+    w = weights_from_log(_log_weights(y, p), point=p)
     z, centered, total = _weighted_cov_parts(y, w)
     c = dependence_coefficients(z)
     d = y.shape[1]
@@ -214,7 +214,7 @@ def sample_weighting_points(y, num_points: int, rng: RngStream) -> np.ndarray:
     return points
 
 
-def wii_multi(y, points, config: WiiConfig = WiiConfig()) -> float:
+def wii_multi(y, points) -> float:
     """Mean of the single-point index over the given weighting points.
 
     Points where the Gaussian weights collapse are skipped; the error
@@ -227,8 +227,7 @@ def wii_multi(y, points, config: WiiConfig = WiiConfig()) -> float:
         raise DimensionError(
             f"weighting points must have {y.shape[1]} columns, got {points.shape[1]}"
         )
-    min_weight = config.min_effective_weight
-    values = _map_surviving_points(lambda p: _point_forward(y, p, min_weight)[0], points)
+    values = _map_surviving_points(lambda p: _point_forward(y, p)[0], points)
     return float(np.mean(values))
 
 
@@ -244,7 +243,7 @@ def wii_index(x, config: WiiConfig = WiiConfig(), rng: RngStream | None = None) 
         rng = RngStream(0)
     y = normalize_componentwise(x)
     points = sample_weighting_points(y, config.resolve_num_points(x.shape[1]), rng)
-    return wii_multi(y, points, config)
+    return wii_multi(y, points)
 
 
 def concentration(p, *, normalized: bool = True) -> float:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from wica_lab.cli import build_parser, main
 from wica_lab.core import load_csv, normalize_componentwise
+from wica_lab.datagen import KINDS, resolve_params
 from wica_lab.errors import FileFormatError
 from wica_lab.metrics import load_report
 from wica_lab.mixer import load_pipeline
@@ -198,6 +200,15 @@ _MALFORMED = [
      "grid/summary.csv"),
     ("bench", ["--out-dir", "grid"], None, "abc", "grid/summary.csv"),
     ("plot-data", ["--data", "data.csv", "--cols", "0"], None, None, "plots/scatter.csv"),
+    ("generate", ["--kind", "sine_mixture", "--params", '{"t_max": "x"}'], None, None,
+     "sources.csv"),
+    ("generate", ["--kind", "sine_mixture", "--params", '{"tmax": 5}'], None, None,
+     "sources.csv"),
+    ("generate", ["--kind", "uniform", "--params", '{"t_max": 5}'], None, None, "sources.csv"),
+    ("generate", ["--kind", "sine_mixture", "--params", '{"omega_min": 5, "omega_max": 1}'],
+     None, None, "sources.csv"),
+    ("bench", ["--config", "cfg.json", "--out-dir", "grid"], {"source_params": {"t_max": "x"}},
+     None, "grid/summary.csv"),
 ]
 
 
@@ -284,6 +295,9 @@ _NOT_AN_OBJECT = "[1, 2]\n"
     (load_model, _NOT_AN_OBJECT),
     (load_model, '{"d": 2, "config": {}, "encoder": {}}\n'),
     (load_model, '{"d": 2, "config": [], "encoder": {}, "decoder": {}}\n'),
+    (load_model, '{"d": 2, "config": {"steps": 1.5, "beta": true, "hidden_sizes": []}, '
+                 '"encoder": {"w1": [[1, 0], [0, 1]], "b1": [0, 0]}, '
+                 '"decoder": {"w1": [[1, 0], [0, 1]], "b1": [0, 0]}}\n'),
     (_load_config, _NOT_AN_OBJECT),
     (_load_config, '{"steps": 1}\n'),  # no "data"
 ], ids=lambda v: getattr(v, "__name__", None))
@@ -297,7 +311,8 @@ def test_loader_rejects_malformed_json_object(tmp_path, monkeypatch, load, text)
 
 def test_readme_command_lines_parse():
     """Every `wica-lab ...` line of the README's "Command line" section is
-    accepted by the parser, so a flag spelling in the docs cannot drift."""
+    accepted by the parser, and its list of `--params` keys and defaults is
+    datagen's, so neither a flag spelling nor a param in the docs can drift."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     lines = [
@@ -308,6 +323,14 @@ def test_readme_command_lines_parse():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert build_parser().parse_args(argv).command == argv[0]
+    documented = {}
+    for item in re.findall(r"^- (`.+?(?=\n\n|\n- ))", section + "\n\n", re.M | re.S):
+        kinds, params = item.split(":", 1)
+        for kind in re.findall(r"`(\w+)`", kinds):
+            documented[kind] = {
+                key: float(value) for key, value in re.findall(r"`(\w+)` (\d[\d.]*)", params)
+            }
+    assert documented == {kind: resolve_params(kind, {}) for kind in KINDS}
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,12 @@ import pytest
 from wica_lab.core import (
     Dataset,
     RngStream,
-    WeightedSample,
     load_csv,
     normalize_componentwise,
     pearson_corr_matrix,
     polar_orthogonal,
     sample_haar_orthogonal,
     save_csv,
-    spearman_corr,
     weighted_cov,
     weighted_mean,
 )
@@ -23,6 +21,7 @@ from wica_lab.errors import (
     DimensionError,
     FileFormatError,
 )
+from wica_lab.metrics import spearman_distance_matrix
 
 from oracles import ks_statistic, loop_weighted_cov, loop_weighted_mean
 
@@ -83,15 +82,6 @@ def test_weighted_stats_reject_bad_weights():
         weighted_mean(x, np.ones(4))
     with pytest.raises(DegenerateWeightsError):
         weighted_cov(x, np.array([1.0, np.nan, 1.0]))
-
-
-def test_weighted_sample_accessors_match_functions():
-    g = RngStream(9).split("ws").generator()
-    x = g.standard_normal((20, 3))
-    w = g.random(20) + 0.1
-    ws = WeightedSample(x=x, w=w)
-    assert np.array_equal(ws.mean(), weighted_mean(x, w))
-    assert np.array_equal(ws.cov(), weighted_cov(x, w))
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +166,15 @@ def test_pearson_matrix_rejects_constant_column():
         pearson_corr_matrix(z, s)
 
 
+def _spearman_distance(a, b) -> float:
+    """1 - |spearman(a, b)| through the one-column distance matrix."""
+    return float(spearman_distance_matrix(a[:, None], b[:, None])[0, 0])
+
+
 def test_spearman_perfect_monotone():
     x = np.linspace(0.0, 1.0, 50)
-    assert abs(spearman_corr(x, np.exp(3.0 * x)) - 1.0) < 1e-14
-    assert abs(spearman_corr(x, -x**3) + 1.0) < 1e-14
+    assert abs(_spearman_distance(x, np.exp(3.0 * x))) < 1e-14
+    assert abs(_spearman_distance(x, -x**3)) < 1e-14
 
 
 def test_spearman_handles_ties_via_average_ranks():
@@ -188,8 +183,8 @@ def test_spearman_handles_ties_via_average_ranks():
     b = np.array([1.0, 2.0, 3.0, 4.0])
     ra = np.array([1.0, 2.5, 2.5, 4.0])
     rb = np.array([1.0, 2.0, 3.0, 4.0])
-    expect = np.corrcoef(ra, rb)[0, 1]
-    assert abs(spearman_corr(a, b) - expect) < 1e-14
+    expect = 1.0 - abs(np.corrcoef(ra, rb)[0, 1])
+    assert abs(_spearman_distance(a, b) - expect) < 1e-14
 
 
 def test_spearman_monotone_invariance():
@@ -197,9 +192,9 @@ def test_spearman_monotone_invariance():
     for _ in range(20):
         a = g.standard_normal(40)
         b = g.standard_normal(40)
-        base = spearman_corr(a, b)
-        assert abs(spearman_corr(np.exp(a), b) - base) < 1e-12
-        assert abs(spearman_corr(a, b**3) - base) < 1e-12
+        base = _spearman_distance(a, b)
+        assert abs(_spearman_distance(np.exp(a), b) - base) < 1e-12
+        assert abs(_spearman_distance(a, b**3) - base) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +286,8 @@ def test_dataset_load_save(tmp_path):
     g = RngStream(22).split("ds").generator()
     x = g.standard_normal((10, 2))
     path = tmp_path / "d.csv"
-    Dataset(x=x).save(path)
-    ds = Dataset.load(path)
-    assert np.array_equal(ds.x, x)
-    assert ds.n == 10 and ds.d == 2
+    save_csv(path, x)
+    assert np.array_equal(Dataset.load(path).x, x)
 
 
 def test_csv_rejects_malformed_rows(tmp_path):

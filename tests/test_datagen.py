@@ -7,7 +7,7 @@ import pytest
 
 from wica_lab.core import RngStream, normalize_componentwise, pearson_corr_matrix
 from wica_lab.datagen import KINDS, SourceSpec, generate
-from wica_lab.errors import DimensionError
+from wica_lab.errors import DimensionError, FileFormatError
 from wica_lab.wii import WiiConfig, wii_index
 
 from oracles import load_record
@@ -36,6 +36,25 @@ def test_spec_rejects_bad_arguments():
         SourceSpec(kind="uniform", d=2, n=10, seed=-1)
     with pytest.raises(DimensionError):
         SourceSpec(kind="fig1_dependent", d=3, n=10)
+    # degenerate or inverted param ranges
+    for kind, params in [
+        ("sine_mixture", {"t_max": 0}),
+        ("sine_mixture", {"omega_min": 5, "omega_max": 1}),
+        ("fig1_dependent", {"half_angle": 0}),
+        ("fig1_dependent", {"half_angle": -1}),
+        ("fig1_dependent", {"radius_min": 2, "radius_max": 1}),
+    ]:
+        with pytest.raises(DimensionError):
+            SourceSpec(kind=kind, d=2, n=10, params=params)
+    # a param of the wrong type, or one the kind does not take
+    for kind, params in [
+        ("sine_mixture", {"t_max": "x"}),
+        ("sine_mixture", {"tmax": 5}),
+        ("uniform", {"t_max": 5}),
+        ("fig1_dependent", {"half_angle": True}),
+    ]:
+        with pytest.raises(FileFormatError):
+            SourceSpec(kind=kind, d=2, n=10, params=params)
 
 
 def test_every_kind_is_normalized_and_deterministic():

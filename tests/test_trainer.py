@@ -114,8 +114,6 @@ def test_mlp_params_validation():
         MlpParams((2, 2), [np.eye(2), np.eye(2)], [np.zeros(2)])
     with pytest.raises(DimensionError):
         MlpParams((2, 3), [np.eye(2)], [np.zeros(3)])
-    with pytest.raises(DimensionError):
-        MlpParams((2, 2), [np.eye(2)], [np.zeros(2)], hidden_activation="relu")
 
 
 def test_autoencoder_requires_matching_d():
@@ -142,6 +140,11 @@ def test_train_config_validation():
     ]
     for kwargs in bad:
         with pytest.raises(DimensionError):
+            TrainConfig(**kwargs)
+    # a value of the wrong type, never truncated or cast
+    for kwargs in [dict(beta=float("nan")), dict(steps=1.5), dict(beta=True),
+                   dict(hidden_sizes=(2.7,))]:
+        with pytest.raises(FileFormatError):
             TrainConfig(**kwargs)
     assert TrainConfig().num_weighting_points is None
     assert TrainConfig(hidden_sizes=[16, 16]).hidden_sizes == (16, 16)

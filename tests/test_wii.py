@@ -10,6 +10,7 @@ import pytest
 from wica_lab.core import RngStream, normalize_componentwise, weighted_cov
 from wica_lab.errors import (
     DimensionError,
+    FileFormatError,
     InsufficientDataError,
     NonFiniteError,
     WeightCollapseError,
@@ -222,6 +223,8 @@ def test_wii_config_defaults_num_points_to_dimension():
     assert WiiConfig(num_points=3).resolve_num_points(5) == 3
     with pytest.raises(DimensionError):
         WiiConfig(num_points=0)
+    with pytest.raises(FileFormatError):
+        WiiConfig(num_points=1.5)
 
 
 def test_independent_data_stays_below_calibrated_threshold():
