@@ -156,22 +156,27 @@ def _normalize_parts(x: np.ndarray):
 
 
 def average_ranks(v) -> np.ndarray:
-    """Ranks 1..n of a vector, with ties sharing their average rank."""
+    """Ranks 1..n of a vector, with ties sharing their average rank.
+
+    A stable sort lines the values up; a tie group starts wherever a
+    sorted value differs from the one before it, so -0.0 and 0.0 tie and
+    every NaN (which equals nothing) ranks alone, after all numbers.  The
+    group occupying sorted positions [i, j] gets 0.5 * (i + j) + 1.0, a
+    half-integer and so exact, scattered back through the sort order.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionError(f"ranks are defined for vectors, got ndim={v.ndim}")
     n = v.shape[0]
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(n, dtype=np.float64)
     sv = v[order]
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and sv[j + 1] == sv[i]:
-            j += 1
-        # tied block [i, j] shares the mean of the ranks it occupies
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    new_group = np.ones(n, dtype=bool)
+    np.not_equal(sv[1:], sv[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    sizes = np.diff(starts, append=n)
+    ends = starts + sizes - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, sizes)
     return ranks
 
 

@@ -17,12 +17,13 @@ Five families, all componentwise normalized on the way out:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 
 from .core import (
-    RngStream, _at_least, _float, _object, _parse_options, normalize_componentwise,
+    RngStream, _at_least, _float, _int, _object, _parse_fields, _parse_options,
+    normalize_componentwise,
 )
 from .errors import DimensionError, FileFormatError
 
@@ -53,6 +54,8 @@ def resolve_params(kind: str, params) -> dict:
 class SourceSpec:
     """What to generate; the same spec always yields the same sample.
 
+    d, n and seed are read by their parsers in _FIELDS, so a value of the
+    wrong type is a FileFormatError and one out of range a DimensionError;
     params holds every param of the kind, resolved by resolve_params.
     """
 
@@ -62,16 +65,15 @@ class SourceSpec:
     seed: int = 0
     params: dict[str, Any] = field(default_factory=dict)
 
+    _FIELDS: ClassVar[dict] = {
+        "d": _at_least(_int, 2), "n": _at_least(_int, 2), "seed": _at_least(_int, 0),
+    }
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", resolve_params(self.kind, self.params))
-        if self.d < 2:
-            raise DimensionError(f"need d >= 2, got d={self.d}")
-        if self.n < 2:
-            raise DimensionError(f"need n >= 2, got n={self.n}")
+        _parse_fields(self, self._FIELDS)
         if self.kind == "fig1_dependent" and self.d != 2:
             raise DimensionError("fig1_dependent is a 2-D construction; set d=2")
-        if self.seed < 0:
-            raise DimensionError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _lattice(spec: SourceSpec, rng: RngStream) -> np.ndarray:

@@ -9,7 +9,12 @@ source columns, so neither cares about component order or sign:
 
 The matching is a linear assignment problem; with one unit of supply
 per column the LP relaxation is integral, so the Hungarian method gives
-the exact optimum of the integer program in O(d^3).
+the exact optimum of the integer program in O(d^3).  Ties go to the
+lexicographically smallest optimal permutation, found on the edges that
+are tight under the Hungarian duals: an edge is tight when its reduced
+cost is at most 1e-12 * (1 + |optimum|), a per-edge test where the
+earlier row-by-row re-solves compared the total of each completion with
+the optimum.  Finding it keeps the whole solve O(d^3).
 """
 
 from __future__ import annotations
@@ -50,11 +55,15 @@ def spearman_distance_matrix(z, s) -> np.ndarray:
     return 1.0 - np.abs(r)
 
 
-def _hungarian(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost perfect matching; returns column index per row.
+def _hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimum-cost perfect matching: column index per row, plus the duals.
 
     Potentials-and-augmenting-paths formulation, O(n^3): rows enter one
     at a time, each via a shortest alternating path in reduced costs.
+    The returned duals u (rows) and v (columns) satisfy
+    cost[i, j] - u[i] - v[j] >= 0 up to roundoff, with equality on the
+    matching.  Each scan over the columns is one vector operation; its
+    minimum is the first one, as a loop taking strict improvements finds.
     """
     n = cost.shape[0]
     u = np.zeros(n + 1)
@@ -69,24 +78,16 @@ def _hungarian(cost: np.ndarray) -> np.ndarray:
         while True:
             used[j0] = True
             i0 = row_of[j0]
-            delta = np.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[row_of[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            free = ~used
+            cur = cost[i0 - 1] - u[i0] - v[1:]
+            better = free[1:] & (cur < minv[1:])
+            minv[1:][better] = cur[better]
+            way[1:][better] = j0
+            j1 = int(np.argmin(np.where(free, minv, np.inf)))
+            delta = minv[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[free] -= delta
             j0 = j1
             if row_of[j0] == 0:
                 break
@@ -95,18 +96,35 @@ def _hungarian(cost: np.ndarray) -> np.ndarray:
             row_of[j0] = row_of[j1]
             j0 = j1
     perm = np.empty(n, dtype=int)
-    for j in range(1, n + 1):
-        perm[row_of[j] - 1] = j - 1
-    return perm
+    perm[row_of[1:] - 1] = np.arange(n)
+    return perm, u[1:], v[1:]
 
 
 def solve_assignment(cost) -> tuple[np.ndarray, float]:
     """Permutation minimizing sum cost[i, perm[i]], plus its total.
 
     Among equally cheap permutations the lexicographically smallest one
-    is returned, fixed row by row: a column is kept if the best
-    completion of the remaining rows still reaches the optimum.  Tie
-    detection compares totals within 1e-12 of the optimum's scale.
+    is returned.  One Hungarian solve gives an optimum and its duals
+    u, v.  Under them a permutation is optimal exactly when every edge
+    it uses is tight, cost[i, k] - u[i] - v[k] == 0 (Kuhn 1955; Jonker
+    and Volgenant 1987), so the answer is the lexicographically smallest
+    perfect matching on the tight edges.  Rows are fixed in order, each
+    to the smallest column that still completes to such a matching: one
+    alternating-path search per row, back from the row's current column
+    over the rows not yet fixed, finds every column the row can take,
+    and the current matching is re-routed along the path to the one
+    chosen.  The whole solve is O(d^3).
+
+    An edge is tight when its reduced cost is at most
+    tol = 1e-12 * (1 + |optimum|).  The row-by-row re-solves this
+    replaces applied tol to the total of each candidate completion; here
+    it applies to each edge.  A matching's reduced costs sum to its
+    excess over the optimum, so exact ties are resolved as before, while
+    a near-tie whose edges each lie within tol but whose excess exceeds
+    tol (at most d * tol) now also counts as a tie.  The edges of the
+    Hungarian optimum count as tight whatever their roundoff, so the
+    tight edges always hold a perfect matching and a row with no smaller
+    column open to it keeps the one it holds.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -115,34 +133,36 @@ def solve_assignment(cost) -> tuple[np.ndarray, float]:
         raise NonFiniteError("cost matrix contains non-finite values")
     n = c.shape[0]
     rows = np.arange(n)
-    base = _hungarian(c)
-    best_total = float(c[rows, base].sum())
+    col_of, u, v = _hungarian(c)
+    best_total = float(c[rows, col_of].sum())
     tol = 1e-12 * (1.0 + abs(best_total))
-    free = list(range(n))
-    chosen: list[int] = []
-    prefix = 0.0
-    for i in range(n):
-        for pos, k in enumerate(free):
-            rest_cols = free[:pos] + free[pos + 1 :]
-            if rest_cols:
-                sub = c[np.ix_(np.arange(i + 1, n), rest_cols)]
-                sub_perm = _hungarian(sub)
-                tail = float(sub[np.arange(n - i - 1), sub_perm].sum())
-            else:
-                tail = 0.0
-            if prefix + c[i, k] + tail <= best_total + tol:
-                chosen.append(k)
-                prefix += float(c[i, k])
-                free.pop(pos)
-                break
-        else:
-            # float pathologies only; keep the base optimum's column
-            k = int(base[i])
-            chosen.append(k)
-            prefix += float(c[i, k])
-            free.remove(k)
-    perm = np.array(chosen, dtype=int)
-    return perm, float(c[rows, perm].sum())
+    tight = c - u[:, None] - v[None, :] <= tol
+    tight[rows, col_of] = True
+    row_of = np.empty(n, dtype=int)
+    row_of[col_of] = rows
+    for i in range(n - 1):
+        # rows below i that can give up their column: walking back from
+        # row i's column, a row joins when it has a tight edge to a column
+        # that is free for it to move to; moves_to[r] is that column
+        moves_to = np.full(n, -1)
+        frontier = [col_of[i]]
+        while frontier:
+            k = frontier.pop()
+            joined = np.flatnonzero(tight[i + 1 :, k] & (moves_to[i + 1 :] < 0)) + i + 1
+            moves_to[joined] = k
+            frontier.extend(col_of[joined])
+        options = np.flatnonzero(tight[i, : col_of[i]] & (moves_to[row_of[: col_of[i]]] >= 0))
+        if options.size == 0:
+            continue
+        # row i takes the column; its owner moves along the path, and so on
+        # until a row moves into the column row i gave up
+        k = int(options[0])
+        r = row_of[k]
+        col_of[i], row_of[k] = k, i
+        while r != i:
+            k = moves_to[r]
+            col_of[r], row_of[k], r = k, r, row_of[k]
+    return col_of, float(c[rows, col_of].sum())
 
 
 def ots(z, s) -> tuple[float, np.ndarray]:

@@ -484,6 +484,12 @@ def load_model(path) -> tuple[AutoEncoderModel, TrainConfig]:
         raise FileFormatError(f"{path}: {exc}") from None
     if model.d != doc["d"]:
         raise FileFormatError(f"{path}: 'd' is {doc['d']} but nets have d={model.d}")
+    for name, net in (("encoder", model.encoder), ("decoder", model.decoder)):
+        if net.sizes[1:-1] != cfg.hidden_sizes:
+            raise FileFormatError(
+                f"{path}: config.hidden_sizes is {list(cfg.hidden_sizes)} but the "
+                f"{name} has layer sizes {list(net.sizes)}"
+            )
     return model, cfg
 
 

@@ -1,10 +1,10 @@
 """Brute-force and quadrature reference implementations.
 
 Everything here exists to check the fast paths from the outside: plain
-Python loops instead of vectorized statistics, exhaustive search
-instead of the assignment solver, finite differences instead of the
-hand-written backward pass, grid quadrature instead of the closed-form
-concentration value.  None of it shares code with the modules under
+Python loops instead of vectorized statistics and ranks, exhaustive
+search and row-by-row re-solves instead of the assignment solver,
+finite differences instead of the hand-written backward pass, grid
+quadrature instead of the closed-form concentration value.  None of it shares code with the modules under
 test beyond the model's parameter layout, and none of it is built for
 speed.  It is test-only and is not part of the installed package.
 """
@@ -26,6 +26,8 @@ __all__ = [
     "loop_weighted_mean",
     "loop_weighted_cov",
     "brute_assignment",
+    "loop_average_ranks",
+    "rowwise_assignment",
     "fd_gradient",
     "fd_jacobian",
     "model_param_vector",
@@ -95,6 +97,119 @@ def brute_assignment(cost) -> tuple[np.ndarray, float]:
             best_perm = perm
     assert best_perm is not None
     return np.array(best_perm, dtype=int), best_total
+
+
+# ---------------------------------------------------------------------------
+# loop ranks and row-by-row assignment: the package's earlier solvers, kept
+# as references that the vectorized ones must match bit for bit
+
+
+def loop_average_ranks(v) -> np.ndarray:
+    """Ranks 1..n of a vector, ties sharing their average rank, one tied
+    block at a time."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise DimensionError(f"ranks are defined for vectors, got ndim={v.ndim}")
+    n = v.shape[0]
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(n, dtype=np.float64)
+    sv = v[order]
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and sv[j + 1] == sv[i]:
+            j += 1
+        # tied block [i, j] shares the mean of the ranks it occupies
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def _loop_hungarian(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost perfect matching, column index per row; O(n^3) with
+    the column scans as Python loops."""
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    row_of = np.zeros(n + 1, dtype=int)  # column j (1-based) -> assigned row
+    way = np.zeros(n + 1, dtype=int)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = row_of[j0]
+            delta = np.inf
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if row_of[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    perm = np.empty(n, dtype=int)
+    for j in range(1, n + 1):
+        perm[row_of[j] - 1] = j - 1
+    return perm
+
+
+def rowwise_assignment(cost) -> tuple[np.ndarray, float]:
+    """Lexicographically smallest optimal permutation and its total, fixed
+    row by row: a column is kept if the best completion of the remaining
+    rows, re-solved from scratch, still reaches the optimum within
+    1e-12 * (1 + |optimum|).  O(d^5); d <= 32 is practical."""
+    c = np.asarray(cost, dtype=np.float64)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise DimensionError(f"cost matrix must be square, got shape {c.shape}")
+    n = c.shape[0]
+    rows = np.arange(n)
+    base = _loop_hungarian(c)
+    best_total = float(c[rows, base].sum())
+    tol = 1e-12 * (1.0 + abs(best_total))
+    free = list(range(n))
+    chosen: list[int] = []
+    prefix = 0.0
+    for i in range(n):
+        for pos, k in enumerate(free):
+            rest_cols = free[:pos] + free[pos + 1 :]
+            if rest_cols:
+                sub = c[np.ix_(np.arange(i + 1, n), rest_cols)]
+                sub_perm = _loop_hungarian(sub)
+                tail = float(sub[np.arange(n - i - 1), sub_perm].sum())
+            else:
+                tail = 0.0
+            if prefix + c[i, k] + tail <= best_total + tol:
+                chosen.append(k)
+                prefix += float(c[i, k])
+                free.pop(pos)
+                break
+        else:
+            # float pathologies only; keep the base optimum's column
+            k = int(base[i])
+            chosen.append(k)
+            prefix += float(c[i, k])
+            free.remove(k)
+    perm = np.array(chosen, dtype=int)
+    return perm, float(c[rows, perm].sum())
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,11 @@ _NOT_AN_OBJECT = "[1, 2]\n"
     (load_model, '{"d": 2, "config": {"steps": 1.5, "beta": true, "hidden_sizes": []}, '
                  '"encoder": {"w1": [[1, 0], [0, 1]], "b1": [0, 0]}, '
                  '"decoder": {"w1": [[1, 0], [0, 1]], "b1": [0, 0]}}\n'),
+    (load_model, '{"d": 2, "config": {"hidden_sizes": [7, 7, 7]}, '
+                 '"encoder": {"w1": [[1, 0, 0, 0], [0, 1, 0, 0]], "b1": [0, 0, 0, 0], '
+                 '"w2": [[1, 0], [0, 1], [0, 0], [0, 0]], "b2": [0, 0]}, '
+                 '"decoder": {"w1": [[1, 0, 0, 0], [0, 1, 0, 0]], "b1": [0, 0, 0, 0], '
+                 '"w2": [[1, 0], [0, 1], [0, 0], [0, 0]], "b2": [0, 0]}}\n'),
     (_load_config, _NOT_AN_OBJECT),
     (_load_config, '{"steps": 1}\n'),  # no "data"
 ], ids=lambda v: getattr(v, "__name__", None))

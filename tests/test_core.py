@@ -6,6 +6,7 @@ import pytest
 from wica_lab.core import (
     Dataset,
     RngStream,
+    average_ranks,
     load_csv,
     normalize_componentwise,
     pearson_corr_matrix,
@@ -23,7 +24,7 @@ from wica_lab.errors import (
 )
 from wica_lab.metrics import spearman_distance_matrix
 
-from oracles import ks_statistic, loop_weighted_cov, loop_weighted_mean
+from oracles import ks_statistic, loop_average_ranks, loop_weighted_cov, loop_weighted_mean
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +196,26 @@ def test_spearman_monotone_invariance():
         base = _spearman_distance(a, b)
         assert abs(_spearman_distance(np.exp(a), b) - base) < 1e-12
         assert abs(_spearman_distance(a, b**3) - base) < 1e-12
+
+
+def test_average_ranks_match_loop_oracle_bit_for_bit():
+    g = RngStream(15).split("ranks").generator()
+    cases = [
+        np.zeros(0), np.array([3.5]), np.full(1000, 2.0),
+        np.array([0.0, -0.0, 1.0, -0.0, 0.0]),
+        np.array([np.nan, 1.0, np.nan, -np.inf, 1.0, np.inf, -0.0, 0.0]),
+    ]
+    for n in (2, 17, 1000, 20000):
+        cases += [
+            g.standard_normal(n),
+            g.integers(0, 3, size=n).astype(float),  # heavy ties
+            np.round(g.standard_normal(n), 1),
+            g.choice([-0.0, 0.0, 1.0, np.nan], size=n),
+        ]
+    for v in cases:
+        assert average_ranks(v).tobytes() == loop_average_ranks(v).tobytes(), v
+    with pytest.raises(DimensionError):
+        average_ranks(np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,11 @@ def test_spec_rejects_bad_arguments():
     ]:
         with pytest.raises(FileFormatError):
             SourceSpec(kind=kind, d=2, n=10, params=params)
+    # d, n and seed of the wrong type
+    for args in [{"d": 2.5, "n": 10}, {"d": True, "n": 10}, {"d": 2, "n": 10.0},
+                 {"d": 2, "n": 10, "seed": None}]:
+        with pytest.raises(FileFormatError):
+            SourceSpec(kind="uniform", **args)
 
 
 def test_every_kind_is_normalized_and_deterministic():

@@ -1,12 +1,13 @@
 """Assignment solver and the two permutation-matched recovery scores."""
 
 import itertools
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wica_lab.core import RngStream
+from wica_lab.core import RngStream, pearson_corr_matrix
 from wica_lab.errors import DegenerateColumnError, DimensionError, NonFiniteError
 from wica_lab.metrics import (
     ScoreReport,
@@ -20,7 +21,7 @@ from wica_lab.metrics import (
     spearman_distance_matrix,
 )
 
-from oracles import brute_assignment, load_record
+from oracles import brute_assignment, load_record, rowwise_assignment
 
 DATA = Path(__file__).parent / "data"
 
@@ -71,6 +72,39 @@ def test_assignment_tie_break_matches_brute_on_discrete_costs():
         bperm, btotal = brute_assignment(cost)
         assert abs(total - btotal) < 1e-12
         assert np.array_equal(perm, bperm), (cost, perm, bperm)
+
+
+def _oracle_instances():
+    g = RngStream(47).split("rowwise").generator()
+    for d in [*range(1, 13), 16, 24, 32]:
+        yield g.random((d, d))
+        yield g.integers(0, 3, size=(d, d)).astype(float)
+        yield np.full((d, d), float(g.integers(0, 3)))
+        # 1 - |corr| against sources drawn with repeats, every other copy
+        # noisy: repeated exact copies give identical rows, hence ties
+        s = g.standard_normal((200, d))
+        z = s[:, g.integers(0, d, size=d)]
+        z[:, ::2] += 0.1 * g.standard_normal((200, (d + 1) // 2))
+        yield 1.0 - np.abs(pearson_corr_matrix(z, s))
+
+
+def test_assignment_matches_rowwise_resolve_oracle():
+    # the solver replaced row-by-row re-solves; exact ties must resolve
+    # the same, and the totals must agree to the bit
+    for cost in _oracle_instances():
+        perm, total = solve_assignment(cost)
+        operm, ototal = rowwise_assignment(cost)
+        assert np.array_equal(perm, operm), cost
+        assert total == ototal
+
+
+def test_assignment_at_d64_is_fast():
+    g = RngStream(48).split("d64").generator()
+    for cost in (g.random((64, 64)), g.integers(0, 3, size=(64, 64)).astype(float)):
+        start = time.perf_counter()
+        perm, _ = solve_assignment(cost)
+        assert time.perf_counter() - start < 1.0
+        assert sorted(perm) == list(range(64))
 
 
 def test_assignment_never_beats_identity_bound():
@@ -155,8 +189,6 @@ def test_max_corr_swapped_negated_columns():
 
 
 def test_max_corr_equals_brute_force_over_permutations():
-    from wica_lab.core import pearson_corr_matrix
-
     g = RngStream(49).split("mc3").generator()
     for d in (2, 4, 6):
         z = g.standard_normal((80, d))

@@ -16,9 +16,11 @@ from oracles import (
     ks_statistic,
     linear_fit_residual,
     load_record,
+    loop_average_ranks,
     loop_weighted_cov,
     loop_weighted_mean,
     quadrature_P,
+    rowwise_assignment,
     save_record,
 )
 
@@ -84,6 +86,20 @@ def test_brute_rejects_big_and_nonsquare():
         brute_assignment(np.zeros((9, 9)))
     with pytest.raises(DimensionError):
         brute_assignment(np.zeros((2, 3)))
+
+
+def test_rowwise_assignment_matches_brute_on_ties():
+    g = RngStream(52).split("rowwise").generator()
+    for _ in range(50):
+        cost = g.integers(0, 3, size=(5, 5)).astype(float)
+        perm, total = rowwise_assignment(cost)
+        bperm, btotal = brute_assignment(cost)
+        assert np.array_equal(perm, bperm) and abs(total - btotal) < 1e-12
+
+
+def test_loop_ranks_hand_case():
+    # [2, 1, 2, 3]: the two 2s occupy ranks 2 and 3 and share 2.5
+    assert loop_average_ranks([2.0, 1.0, 2.0, 3.0]).tolist() == [2.5, 1.0, 2.5, 4.0]
 
 
 # ---------------------------------------------------------------------------
