@@ -115,14 +115,9 @@ def weighted_cov(x, w) -> np.ndarray:
     """
     x = as_data(x)
     w = as_weights(w, x.shape[0])
-    return _weighted_cov_parts(x, w)[0]
-
-
-def _weighted_cov_parts(x: np.ndarray, w: np.ndarray):
-    """Unchecked weighted_cov, plus the centred rows and the total weight."""
     s = w.sum()
     centered = x - (w @ x) / s
-    return (centered.T * w) @ centered / s, centered, s
+    return (centered.T * w) @ centered / s
 
 
 _NORMALIZE_FLOOR = 1e-8

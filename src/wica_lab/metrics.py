@@ -182,7 +182,11 @@ def max_corr(z, s) -> tuple[float, np.ndarray]:
     s = as_data(s, min_cols=1, name="sources")
     if z.shape != s.shape:
         raise DimensionError(f"shape mismatch: {z.shape} vs {s.shape}")
-    p = pearson_corr_matrix(z, s)
+    return _max_corr_of(pearson_corr_matrix(z, s))
+
+
+def _max_corr_of(p: np.ndarray) -> tuple[float, np.ndarray]:
+    """max_corr from the Pearson matrix of retrieved rows by source columns."""
     perm, total = solve_assignment(1.0 - np.abs(p).T)
     return 1.0 - total / p.shape[0], perm
 
@@ -226,7 +230,7 @@ def score(z, s) -> ScoreReport:
     rank_corr = pearson_corr_matrix(_rank_columns(z), _rank_columns(s))
     pearson = pearson_corr_matrix(z, s)
     ots_value, ots_perm = ots(z, s)
-    mc_value, mc_perm = max_corr(z, s)
+    mc_value, mc_perm = _max_corr_of(pearson)
     return ScoreReport(
         ots=float(ots_value),
         max_corr=float(mc_value),

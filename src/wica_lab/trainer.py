@@ -14,10 +14,12 @@ max-shift of the log weights; the shift is exactly gradient-free
 because every weighted statistic is invariant to rescaling all weights.
 
 The wii term is evaluated and differentiated by wii.py's kernel, the one
-the diagnostics call.  All parameters live in one vector,
-AutoEncoderModel.theta: encoder weights, encoder biases, decoder weights,
-decoder biases, each in layer order and row-major; every weight and bias
-is a view into it, and cost_gradient returns this layout.
+the diagnostics call, once per step on the stack of all K points as
+(K, n, d) arrays; its values equal the diagnostics' one point at a time
+bit for bit.  All parameters live in one vector, AutoEncoderModel.theta:
+encoder weights, encoder biases, decoder weights, decoder biases, each in
+layer order and row-major; every weight and bias is a view into it, and
+cost_gradient returns this layout.
 
 Nothing here calls an autodiff framework; the gradient is validated
 against central finite differences in the test suite.
@@ -44,7 +46,7 @@ from .errors import (
     TrainingDivergedError,
     WeightCollapseError,
 )
-from .wii import _map_surviving_points, _point_backward, _point_forward, sample_weighting_points
+from .wii import _points_backward, _points_forward, sample_weighting_points
 
 __all__ = [
     "MlpParams",
@@ -292,8 +294,8 @@ def _cost_forward_backward(
         rec /= n
 
     y, u, sigma, denom = _normalize_parts(enc_out)
-    survivors = _map_surviving_points(lambda p: (p, _point_forward(y, p)), points)
-    wii_value = float(np.mean([out[0] for _, out in survivors]))
+    values, _, cache = _points_forward(y, points)
+    wii_value = float(np.mean(values))
     total = rec + cfg.beta * wii_value
     if not need_grad:
         return total, rec, wii_value, None
@@ -302,13 +304,10 @@ def _cost_forward_backward(
     d_recon = 2.0 * resid / (n if cfg.rec_norm == "mean" else 1)
     dec_gw, dec_gb, d_enc_out = _mlp_backward(model.decoder, dec_acts, d_recon)
 
-    # independence path: accumulate dY over surviving points, then pull
+    # independence path: dY summed over the surviving points, then pulled
     # back through the normalization
     if cfg.beta != 0.0:
-        coef = cfg.beta / len(survivors)
-        d_y = np.zeros_like(y)
-        for p, (_, w, total_w, centered, z) in survivors:
-            d_y += coef * _point_backward(y, p, w, total_w, centered, z)
+        d_y = _points_backward(y, cache, cfg.beta / len(values))
         g_mean = d_y.mean(axis=0)
         g_dot_u = np.einsum("ij,ij->j", d_y, u)
         d_enc_norm = (d_y - g_mean) / denom

@@ -12,7 +12,11 @@ index is the average of c_ij over pairs, and over several weighting
 points drawn near the origin of the normalized sample.
 
 The diagnostics here and the training cost in trainer.py evaluate the
-index with one kernel, _point_forward; _point_backward differentiates it.
+index with one kernel over a stack of K points, _points_forward, whose
+centred rows are (K, n, d), weights (K, n) and covariances (K, d, d);
+_points_backward differentiates the whole stack.  Training passes its K
+points at once, wii_multi one at a time, so that a diagnostic on a large
+sample holds one point's (n, d) arrays rather than K of them.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import (
-    RngStream, _at_least, _int, _optional, _parse_fields, _weighted_cov_parts, as_data,
-    normalize_componentwise,
+    RngStream, _at_least, _int, _optional, _parse_fields, as_data, normalize_componentwise,
 )
 from .errors import DimensionError, InsufficientDataError, NonFiniteError, WeightCollapseError
 
@@ -72,7 +75,7 @@ def gaussian_log_weights(y, p) -> np.ndarray:
     so it is dropped here and never materialized.
     """
     y = as_data(y, name="sample")
-    return _log_weights(y, _as_point(p, y.shape[1]))
+    return _log_weights(y, _as_point(p, y.shape[1])[None])[0]
 
 
 def _as_point(p, d: int) -> np.ndarray:
@@ -84,9 +87,18 @@ def _as_point(p, d: int) -> np.ndarray:
     return p
 
 
-def _log_weights(y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    diff = y - p
-    return -0.5 * np.einsum("ij,ij->i", diff, diff)
+def _log_weights(y: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(K, n) log weights of the n rows of y under each of K points."""
+    diff = y - points[:, None, :]
+    return -0.5 * np.einsum("kij,kij->ki", diff, diff)
+
+
+def _weights(lw: np.ndarray):
+    """Each row of lw exponentiated with its top weight shifted to 1, the
+    row totals, and which rows collapsed.  A NaN mass is not a collapse."""
+    w = np.exp(lw - lw.max(axis=-1, keepdims=True))
+    total = w.sum(axis=-1)
+    return w, total, total - 1.0 < _MIN_EFFECTIVE_WEIGHT
 
 
 def weights_from_log(lw, *, point=None) -> np.ndarray:
@@ -98,12 +110,10 @@ def weights_from_log(lw, *, point=None) -> np.ndarray:
     weighted sample has degenerated to a single row and the covariance
     would be meaningless.
     """
-    lw = np.asarray(lw, dtype=np.float64)
-    w = np.exp(lw - lw.max())
-    effective = w.sum() - 1.0
-    if effective < _MIN_EFFECTIVE_WEIGHT:
-        raise WeightCollapseError(point, float(effective))
-    return w
+    w, total, collapsed = _weights(np.asarray(lw, dtype=np.float64)[None])
+    if collapsed[0]:
+        raise WeightCollapseError(point, float(total[0] - 1.0))
+    return w[0]
 
 
 def dependence_coefficients(cov) -> np.ndarray:
@@ -116,80 +126,85 @@ def dependence_coefficients(cov) -> np.ndarray:
     z = np.asarray(cov, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] != z.shape[1]:
         raise DimensionError(f"covariance must be square, got shape {z.shape}")
-    var = np.diag(z)
-    denom = var[:, None] ** 2 + var[None, :] ** 2
+    return _coefficients(z)
+
+
+def _coefficients(z: np.ndarray) -> np.ndarray:
+    """dependence_coefficients of every (d, d) matrix of a stack."""
+    diag = np.arange(z.shape[-1])
+    var = z[..., diag, diag]
+    denom = var[..., :, None] ** 2 + var[..., None, :] ** 2
     dead = denom == 0.0
     c = 2.0 * z * z / np.where(dead, 1.0, denom)
     c[dead] = 0.0
-    np.fill_diagonal(c, 0.0)
+    c[..., diag, diag] = 0.0
     return c
 
 
 def wii_at_point(y, p) -> float:
     """Index of the sample reweighted by a Gaussian bump at p."""
     y = as_data(y, min_cols=2, name="sample")
-    return _point_forward(y, _as_point(p, y.shape[1]))[0]
+    return float(_points_forward(y, _as_point(p, y.shape[1])[None])[0][0])
 
 
-def _point_forward(y: np.ndarray, p: np.ndarray):
-    """Unchecked index at p, plus the weights, total weight, centred rows
-    and weighted covariance that _point_backward needs."""
-    w = weights_from_log(_log_weights(y, p), point=p)
-    z, centered, total = _weighted_cov_parts(y, w)
-    c = dependence_coefficients(z)
+def _points_forward(y: np.ndarray, points: np.ndarray):
+    """Unchecked index of y (n, d) at each of K points (K, d), skipping the
+    points whose weights collapse.
+
+    Returns the survivors' values, their indices into points and the cache
+    _points_backward needs; raises the last point's WeightCollapseError if
+    every point collapses.  Each point's products are matmul calls of its
+    own, so its value is the same bytes in any stack.
+    """
+    w, total, collapsed = _weights(_log_weights(y, points))
+    if collapsed.all():
+        raise WeightCollapseError(points[-1], float(total[-1] - 1.0))
+    live = np.flatnonzero(~collapsed)
+    points, w, total = points[live], w[live], total[live]
+    scale = total[:, None, None]
+    centered = y - np.matmul(w[:, None, :], y) / scale
+    z = np.matmul(centered.transpose(0, 2, 1) * w[:, None, :], centered) / scale
     d = y.shape[1]
     # c is symmetric with zero diagonal; summing it all counts each pair twice
-    return float(c.sum() / (d * (d - 1))), w, total, centered, z
+    values = _coefficients(z).sum(axis=(1, 2)) / (d * (d - 1))
+    return values, live, (points, w, total, centered, z)
 
 
-def _point_backward(
-    y: np.ndarray, p: np.ndarray, w: np.ndarray, total: float,
-    centered: np.ndarray, z: np.ndarray,
-) -> np.ndarray:
-    """d(wii at p)/dY, unit upstream.  Mirrors _point_forward exactly."""
+def _points_backward(y: np.ndarray, cache, coef: float) -> np.ndarray:
+    """coef times the sum over the cached points of d(wii at p)/dY.
+    Mirrors _points_forward exactly."""
+    points, w, total, centered, z = cache
     d = y.shape[1]
-    scale = 1.0 / (d * (d - 1))
-    var = np.diag(z)
-    denom = var[:, None] ** 2 + var[None, :] ** 2
+    diag = np.arange(d)
+    var = z[:, diag, diag]
+    denom = var[:, :, None] ** 2 + var[:, None, :] ** 2
     live = denom > 0.0
-    np.fill_diagonal(live, False)
+    live[:, diag, diag] = False
     safe = np.where(live, denom, 1.0)
 
-    # dwii/dZ: off-diagonal from c_ij = 2 z_ij^2 / denom, diagonal from
-    # the two denominator appearances of each variance
+    # coef * dwii/dZ: off-diagonal from c_ij = 2 z_ij^2 / denom, diagonal
+    # from the two denominator appearances of each variance
+    scale = coef / (d * (d - 1))
     g = np.where(live, scale * 4.0 * z / safe, 0.0)
     ratio = np.where(live, z * z / (safe * safe), 0.0)
-    np.fill_diagonal(g, -scale * 8.0 * var * ratio.sum(axis=1))
+    g[:, diag, diag] = -scale * 8.0 * var * ratio.sum(axis=2)
 
-    # Z = centered^T diag(w) centered / total
-    sym = g + g.T
-    d_centered = (w / total)[:, None] * (centered @ sym)
-    quad = np.einsum("ia,ab,ib->i", centered, g, centered)
-    trace_gz = float(np.sum(g * z))
-    h = d_centered.sum(axis=0)
-    d_w = (quad - trace_gz) / total - (centered @ h) / total
-    d_y = d_centered - np.outer(w, h) / total
+    # Z = centered^T diag(w) centered / total, one (n, d) slab per point
+    w_rel = (w / total[:, None])[:, :, None]
+    d_y = centered @ (g + g.transpose(0, 2, 1))
+    d_y *= w_rel
+    quad = np.einsum("kia,kia->ki", centered @ g, centered)
+    trace_gz = (g * z).sum(axis=(1, 2))
+    h = d_y.sum(axis=1)
+    total = total[:, None]
+    d_w = (quad - trace_gz[:, None]) / total - (centered @ h[:, :, None])[:, :, 0] / total
+    d_y -= w_rel * h[:, None, :]
 
     # w_i = exp(lw_i - max lw); the shift is exactly gradient-free
-    d_lw = w * d_w
-    d_y -= d_lw[:, None] * (y - p)
-    return d_y
-
-
-def _map_surviving_points(f, points: np.ndarray) -> list:
-    """[f(p) for p in points] without the points whose weights collapse;
-    points is non-empty, and the last collapse is re-raised if every point
-    collapsed.  Only f's results are kept, so f decides how much of a
-    point's state survives."""
-    results = []
-    for p in points:
-        try:
-            results.append(f(p))
-        except WeightCollapseError as exc:
-            last_collapse = exc
-    if not results:
-        raise last_collapse
-    return results
+    diff = y - points[:, None, :]
+    diff *= (w * d_w)[:, :, None]
+    d_y -= diff
+    return d_y.sum(axis=0)
 
 
 def sample_weighting_points(y, num_points: int, rng: RngStream) -> np.ndarray:
@@ -227,7 +242,14 @@ def wii_multi(y, points) -> float:
         raise DimensionError(
             f"weighting points must have {y.shape[1]} columns, got {points.shape[1]}"
         )
-    values = _map_surviving_points(lambda p: _point_forward(y, p)[0], points)
+    values = []
+    for k in range(len(points)):
+        try:
+            values.append(_points_forward(y, points[k:k + 1])[0][0])
+        except WeightCollapseError as exc:
+            last_collapse = exc
+    if not values:
+        raise last_collapse
     return float(np.mean(values))
 
 

@@ -9,6 +9,13 @@ With no names every recipe runs; otherwise only the named ones, e.g.
 without recomputing the calibration records. The recipe names are the
 keys of ``RECIPES``.
 
+    PYTHONPATH=src python3 tests/data/regenerate.py --check [RECIPE ...]
+
+runs the recipes into a temporary directory instead and writes nothing
+here.  It prints, for each fixture they write, "identical" or the largest
+absolute change of each numeric field that moved, and exits 1 if any
+fixture moved.
+
 Each fixture embeds the recipe and seeds that produced it. Scoring
 (Pearson, Spearman, OTS, max_corr) uses fixed-order pairwise sums and no
 BLAS, so it reproduces on any machine. The three golden byte-for-byte
@@ -19,6 +26,9 @@ them when moving the suite to a platform whose gemm rounds differently.
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import os
 import sys
@@ -41,9 +51,9 @@ def _independent_wii() -> float:
     return wii.wii_index(u, wii.WiiConfig(), RngStream(202))
 
 
-def wii_independent() -> None:
+def wii_independent(out: Path) -> None:
     value = _independent_wii()
-    save_record(DATA_DIR / "wii_independent.json", CalibrationRecord(
+    save_record(out / "wii_independent.json", CalibrationRecord(
         tag="wii-independent-uniform",
         seed=101, n=10_000, d=2,
         measured={"wii": value, "eval_seed": 202.0},
@@ -53,12 +63,12 @@ def wii_independent() -> None:
     ))
 
 
-def wii_fig1() -> None:
+def wii_fig1(out: Path) -> None:
     baseline = _independent_wii()
     f = datagen.generate(datagen.SourceSpec(kind="fig1_dependent", d=2, n=10_000, seed=303))
     value = wii.wii_index(f, wii.WiiConfig(), RngStream(202))
     pearson = float(np.corrcoef(f.T)[0, 1])
-    save_record(DATA_DIR / "wii_fig1.json", CalibrationRecord(
+    save_record(out / "wii_fig1.json", CalibrationRecord(
         tag="wii-dependent-arcs",
         seed=303, n=10_000, d=2,
         measured={"wii": value, "abs_pearson": abs(pearson),
@@ -70,12 +80,12 @@ def wii_fig1() -> None:
     ))
 
 
-def wii_every_point() -> None:
+def wii_every_point(out: Path) -> None:
     g = RngStream(55).split("normal").generator()
     x = normalize_componentwise(g.standard_normal((10_000, 2)))
     pts = wii.sample_weighting_points(x, 100, RngStream(66))
     values = [wii.wii_at_point(x, p) for p in pts]
-    save_record(DATA_DIR / "wii_every_point.json", CalibrationRecord(
+    save_record(out / "wii_every_point.json", CalibrationRecord(
         tag="wii-every-point-normal",
         seed=55, n=10_000, d=2,
         measured={"max_over_points": max(values),
@@ -88,7 +98,7 @@ def wii_every_point() -> None:
     ))
 
 
-def ots_null() -> None:
+def ots_null(out: Path) -> None:
     values = []
     for s in range(20):
         g = RngStream(400 + s)
@@ -96,7 +106,7 @@ def ots_null() -> None:
         t = g.split("s").generator().standard_normal((1000, 4))
         value, _ = metrics.ots(z, t)
         values.append(value)
-    save_record(DATA_DIR / "ots_null.json", CalibrationRecord(
+    save_record(out / "ots_null.json", CalibrationRecord(
         tag="ots-null-independent",
         seed=400, n=1000, d=4,
         measured={"max": float(np.max(values)), "mean": float(np.mean(values)),
@@ -107,11 +117,11 @@ def ots_null() -> None:
     ))
 
 
-def mixing_nonlinearity() -> None:
+def mixing_nonlinearity(out: Path) -> None:
     s = datagen.generate(datagen.SourceSpec(kind="sine_mixture", d=2, n=4096, seed=11))
     pipe = mixer.build_pipeline(2, 10, 16, RngStream(21))
     residual = linear_fit_residual(s, mixer.mix(pipe, s))
-    save_record(DATA_DIR / "mixing_nonlinearity.json", CalibrationRecord(
+    save_record(out / "mixing_nonlinearity.json", CalibrationRecord(
         tag="mixing-nonlinearity-10",
         seed=21, n=4096, d=2,
         measured={"residual": residual, "iterations": 10.0, "source_seed": 11.0},
@@ -122,11 +132,11 @@ def mixing_nonlinearity() -> None:
     ))
 
 
-def mixing_variance_band() -> None:
+def mixing_variance_band(out: Path) -> None:
     lat = datagen.generate(datagen.SourceSpec(kind="lattice", d=2, n=64, seed=0))
     pipe = mixer.build_pipeline(2, 70, 16, RngStream(2))
     v = mixer.mix(pipe, lat).var(axis=0)
-    save_record(DATA_DIR / "mixing_variance_band.json", CalibrationRecord(
+    save_record(out / "mixing_variance_band.json", CalibrationRecord(
         tag="mixing-variance-band-70",
         seed=2, n=4096, d=2,
         measured={"var_0": float(v[0]), "var_1": float(v[1]),
@@ -140,14 +150,14 @@ def mixing_variance_band() -> None:
     ))
 
 
-def haar_ks() -> None:
+def haar_ks(out: Path) -> None:
     stream = RngStream(77).split("haar")
     angles = np.array([
         float(np.arctan2(q[1, 0], q[0, 0]))
         for q in (sample_haar_orthogonal(2, stream) for _ in range(1000))
     ])
     ks = ks_statistic(angles, -np.pi, np.pi)
-    save_record(DATA_DIR / "haar_angle_ks.json", CalibrationRecord(
+    save_record(out / "haar_angle_ks.json", CalibrationRecord(
         tag="haar-angle-uniformity",
         seed=77, n=1000, d=2,
         measured={"ks": ks, "critical_1pct": 1.63 / np.sqrt(1000)},
@@ -173,7 +183,7 @@ def _swap_margin(d: int, seed: int) -> tuple[float, float]:
     return rep.max_corr, rep.ots
 
 
-def swap_trials() -> None:
+def swap_trials(out: Path) -> None:
     measured: dict[str, float] = {
         "n": float(_SWAP_N), "iterations": float(_SWAP_ITERS), "trials": 20.0,
     }
@@ -185,7 +195,7 @@ def swap_trials() -> None:
             measured[f"margin_d{d}_s{seed}"] = mc - ots_v
             worst = min(worst, mc - ots_v)
     measured["min_margin"] = float(worst)
-    save_record(DATA_DIR / "swap_trials.json", CalibrationRecord(
+    save_record(out / "swap_trials.json", CalibrationRecord(
         tag="swap-one-component",
         seed=1000, n=_SWAP_N, d=4,
         measured=measured,
@@ -199,7 +209,7 @@ def swap_trials() -> None:
     ))
 
 
-def band_trials() -> None:
+def band_trials(out: Path) -> None:
     measured: dict[str, float] = {"n": 8192.0, "iterations": 10.0, "trials": 20.0}
     within = 0
     for k in range(20):
@@ -212,7 +222,7 @@ def band_trials() -> None:
         measured[f"gap_s{seed}"] = gap
         within += gap <= 0.1
     measured["within_band"] = float(within)
-    save_record(DATA_DIR / "band_trials.json", CalibrationRecord(
+    save_record(out / "band_trials.json", CalibrationRecord(
         tag="fully-mixed-band",
         seed=8000, n=8192, d=4,
         measured=measured,
@@ -248,7 +258,7 @@ def _unmix_run(x: np.ndarray, s: np.ndarray, seed: int):
     return metrics.score(z, s), w_init, w_fin
 
 
-def unmix_reference() -> None:
+def unmix_reference(out: Path) -> None:
     s, x = _unmix_setup()
     measured: dict[str, float] = {
         "source_seed": float(_UNMIX_SOURCE_SEED),
@@ -265,7 +275,7 @@ def unmix_reference() -> None:
         if rep.ots > best_ots:
             best_seed, best_ots, best_report = seed, rep.ots, rep
     measured["winning_seed"] = float(best_seed)
-    save_record(DATA_DIR / "unmix_reference.json", CalibrationRecord(
+    save_record(out / "unmix_reference.json", CalibrationRecord(
         tag="end-to-end-unmixing",
         seed=_UNMIX_SOURCE_SEED, n=16384, d=2,
         measured=measured,
@@ -277,7 +287,7 @@ def unmix_reference() -> None:
                "RngStream(1); best-of-3 OTS must reach the threshold and "
                "final wii must be <= 0.1x its value at initialization",
     ))
-    (DATA_DIR / "golden_score_report.json").write_text(
+    (out / "golden_score_report.json").write_text(
         metrics.report_to_json(best_report, matrices=True))
 
 
@@ -295,7 +305,7 @@ _CLI_COMMANDS = [
 ]
 
 
-def cli_golden() -> None:
+def cli_golden(out: Path) -> None:
     cwd = os.getcwd()
     try:
         with tempfile.TemporaryDirectory() as td:
@@ -314,7 +324,7 @@ def cli_golden() -> None:
         "report_file": "report.json",
         "report_text": report_bytes,
     }
-    (DATA_DIR / "cli_golden.json").write_text(
+    (out / "cli_golden.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -328,7 +338,7 @@ _BENCH_CONFIG = {
 }
 
 
-def bench_golden() -> None:
+def bench_golden(out: Path) -> None:
     with tempfile.TemporaryDirectory() as td:
         cfg = dict(_BENCH_CONFIG)
         cfg["out_dir"] = str(Path(td) / "out")
@@ -345,7 +355,7 @@ def bench_golden() -> None:
         "runs_csv": runs,
         "summary_csv": summary,
     }
-    (DATA_DIR / "bench_golden.json").write_text(
+    (out / "bench_golden.json").write_text(
         json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -356,14 +366,84 @@ RECIPES = {f.__name__: f for f in (
 )}
 
 
-def main(names: list[str]) -> int:
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _fields(value, name: str = ""):
+    """(field, leaf) pairs of a fixture in document order.  List items and
+    the rows of an embedded CSV (a *_csv field) fold into their field; an
+    embedded JSON object (a CLI report) opens into fields of its own."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _fields(item, f"{name}.{key}" if name else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _fields(item, name)
+    elif isinstance(value, str) and name.endswith("_csv"):
+        for row in csv.DictReader(io.StringIO(value)):
+            for key, cell in row.items():
+                yield from _fields(_number(cell), f"{name}.{key}")
+    elif isinstance(value, str) and value.startswith("{"):
+        yield from _fields(json.loads(value), name)
+    else:
+        yield name, value
+
+
+def _changes(old, new) -> dict:
+    """Largest absolute change of each numeric field that moved, and
+    "changed" for any other field that did."""
+    old_fields, new_fields = list(_fields(old)), list(_fields(new))
+    if [f for f, _ in old_fields] != [f for f, _ in new_fields]:
+        return {"(layout)": "changed"}
+    out: dict = {}
+    for (field, a), (_, b) in zip(old_fields, new_fields):
+        if a == b:
+            continue
+        numeric = all(isinstance(v, (int, float)) for v in (a, b))
+        out[field] = max(out.get(field, 0.0), abs(b - a)) if numeric else "changed"
+    return out
+
+
+def check(names: list[str]) -> int:
+    """Run the recipes into a temporary directory and report, per fixture
+    they write, whether it matches the committed one; 1 if any moved."""
+    moved = False
+    with tempfile.TemporaryDirectory() as td:
+        with contextlib.redirect_stdout(sys.stderr):  # the CLI recipes print progress
+            for name in names:
+                RECIPES[name](Path(td))
+        for path in sorted(Path(td).iterdir()):
+            committed = DATA_DIR / path.name
+            if committed.exists() and committed.read_bytes() == path.read_bytes():
+                print(f"{path.name}: identical")
+                continue
+            moved = True
+            if not committed.exists():
+                print(f"{path.name}: new")
+                continue
+            changes = _changes(json.loads(committed.read_text()), json.loads(path.read_text()))
+            print(f"{path.name}: moved")
+            for field, change in changes.items():
+                print(f"  {field}: {change if isinstance(change, str) else f'{change:.3e}'}")
+    return 1 if moved else 0
+
+
+def main(args: list[str]) -> int:
+    checking = args[:1] == ["--check"]
+    names = args[1:] if checking else args
     unknown = [name for name in names if name not in RECIPES]
     if unknown:
         print(f"unknown recipe(s): {', '.join(unknown)}; "
               f"choose from {', '.join(RECIPES)}", file=sys.stderr)
         return 2
+    if checking:
+        return check(names or list(RECIPES))
     for name in names or RECIPES:
-        RECIPES[name]()
+        RECIPES[name](DATA_DIR)
         print(f"{name} done")
     return 0
 

@@ -28,6 +28,7 @@ __all__ = [
     "brute_assignment",
     "loop_average_ranks",
     "rowwise_assignment",
+    "loop_point_index",
     "fd_gradient",
     "fd_jacobian",
     "model_param_vector",
@@ -210,6 +211,59 @@ def rowwise_assignment(cost) -> tuple[np.ndarray, float]:
             free.remove(k)
     perm = np.array(chosen, dtype=int)
     return perm, float(c[rows, perm].sum())
+
+
+# ---------------------------------------------------------------------------
+# the index one point at a time: the package's earlier per-point loop, kept
+# as the reference for the batched kernel in wii.py
+
+
+def loop_point_index(y, points, coef: float = 1.0):
+    """The index at each point of y, one point at a time.
+
+    Returns the values of the points whose weights did not collapse, their
+    indices into points, coef times the sum of their gradients d(wii at
+    p)/dY, and (point, effective mass) of the last collapsed point, or
+    None.  The arithmetic is the per-point forward and backward pass the
+    training cost used before the points were batched.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    n, d = y.shape
+    values, live, collapse = [], [], None
+    d_y = np.zeros_like(y)
+    for k, p in enumerate(np.asarray(points, dtype=np.float64)):
+        diff = y - p
+        lw = -0.5 * np.einsum("ij,ij->i", diff, diff)
+        w = np.exp(lw - lw.max())
+        if w.sum() - 1.0 < 1e-12:
+            collapse = (p, float(w.sum() - 1.0))
+            continue
+        total = w.sum()
+        centered = y - (w @ y) / total
+        z = (centered.T * w) @ centered / total
+        var = np.diag(z)
+        denom = var[:, None] ** 2 + var[None, :] ** 2
+        dead = denom == 0.0
+        c = 2.0 * z * z / np.where(dead, 1.0, denom)
+        c[dead] = 0.0
+        np.fill_diagonal(c, 0.0)
+        values.append(float(c.sum() / (d * (d - 1))))
+        live.append(k)
+
+        scale = 1.0 / (d * (d - 1))
+        alive = denom > 0.0
+        np.fill_diagonal(alive, False)
+        safe = np.where(alive, denom, 1.0)
+        g = np.where(alive, scale * 4.0 * z / safe, 0.0)
+        ratio = np.where(alive, z * z / (safe * safe), 0.0)
+        np.fill_diagonal(g, -scale * 8.0 * var * ratio.sum(axis=1))
+        d_centered = (w / total)[:, None] * (centered @ (g + g.T))
+        quad = np.einsum("ia,ab,ib->i", centered, g, centered)
+        h = d_centered.sum(axis=0)
+        d_w = (quad - float(np.sum(g * z))) / total - (centered @ h) / total
+        grad = d_centered - np.outer(w, h) / total - (w * d_w)[:, None] * diff
+        d_y += coef * grad
+    return values, live, d_y, collapse
 
 
 # ---------------------------------------------------------------------------

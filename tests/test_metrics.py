@@ -244,6 +244,20 @@ def test_report_assignment_convention():
     assert rep.assignment_max_corr == (2, 0, 1)
 
 
+def test_score_max_corr_equals_max_corr():
+    """score reuses its Pearson matrix for max_corr: same value and
+    assignment, bit for bit, as calling max_corr on its own."""
+    g = RngStream(56).split("mc").generator()
+    for d in (2, 4, 7):
+        s = g.standard_normal((300, d))
+        z = np.tanh(s @ g.standard_normal((d, d))) + 0.1 * g.standard_normal((300, d))
+        for zz in (z, s[:, ::-1]):
+            rep = score(zz, s)
+            value, perm = max_corr(zz, s)
+            assert rep.max_corr == value
+            assert rep.assignment_max_corr == tuple(int(k) for k in perm)
+
+
 def test_report_values_recomputable_from_matrices():
     """The stored scalars must follow from the stored matrices and assignments."""
     g = RngStream(54).split("rec").generator()

@@ -1,6 +1,7 @@
 """Autoencoder cost, hand-written gradient, and the training loop."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from wica_lab.trainer import (
     train,
     wica_cost,
 )
-from wica_lab.wii import wii_multi
+from wica_lab.wii import sample_weighting_points, wii_multi
 
 from oracles import (
     fd_model_gradient,
@@ -343,6 +344,23 @@ def test_independence_term_gradient_vanishes_on_symmetric_code():
     g1 = cost_gradient(model, x, points, TrainConfig(beta=1.0))
     g0 = cost_gradient(model, x, points, TrainConfig(beta=0.0))
     assert np.max(np.abs(g1 - g0)) < 1e-3
+
+
+def test_gradient_memory_stays_within_a_few_point_stacks():
+    """The batched index holds a few (K, n, d) stacks at a time: one
+    gradient at d=32, batch 256 and K=32 peaks below 16 of them, where a
+    single (K, n, d, d) intermediate would take 32."""
+    d, n, k = 32, 256, 32
+    model = init_model(d, (128, 128, 128), RngStream(16).split("init"))
+    x = RngStream(17).split("x").generator().standard_normal((n, d))
+    points = sample_weighting_points(normalize_componentwise(encode(model, x)), k, RngStream(18))
+    tracemalloc.start()
+    try:
+        cost_gradient(model, x, points, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (k * n * d * 8)
 
 
 def test_parameters_are_views_of_theta(tmp_path: Path):

@@ -25,9 +25,11 @@ from wica_lab.wii import (
     wii_at_point,
     wii_index,
     wii_multi,
+    _points_backward,
+    _points_forward,
 )
 
-from oracles import load_record, quadrature_P
+from oracles import load_record, loop_point_index, quadrature_P
 
 DATA = Path(__file__).parent / "data"
 
@@ -148,6 +150,62 @@ def test_wii_at_point_detects_linear_dependence():
     t = g.standard_normal(2000)
     x = normalize_componentwise(np.column_stack([t, t + 0.01 * g.standard_normal(2000)]))
     assert wii_at_point(x, np.zeros(2)) > 0.9
+
+
+# ---------------------------------------------------------------------------
+# the batched kernel against the per-point loop
+
+
+def _kernel_case(d: int, k: int):
+    g = RngStream(70 + d).split(f"kernel{k}").generator()
+    y = normalize_componentwise(g.laplace(size=(256, d)) @ g.standard_normal((d, d)))
+    return y, sample_weighting_points(y, k, RngStream(71 + k))
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16, 32])
+@pytest.mark.parametrize("per_dim", [0, 1, 3])
+def test_points_kernel_matches_per_point_loop(d, per_dim):
+    k = per_dim * d or 1
+    y, points = _kernel_case(d, k)
+    values, live, cache = _points_forward(y, points)
+    d_y = _points_backward(y, cache, 0.7 / len(values))
+    expect, expect_live, expect_d_y, _ = loop_point_index(y, points, 0.7 / len(values))
+    assert list(live) == expect_live == list(range(k))
+    assert np.max(np.abs(values - expect) / np.abs(expect)) < 1e-13
+    assert np.max(np.abs(d_y - expect_d_y)) < 1e-12 * np.max(np.abs(expect_d_y))
+    # each point's value is its own: the same alone as in the stack
+    alone = [_points_forward(y, points[j:j + 1])[0][0] for j in range(k)]
+    assert np.array_equal(values, alone)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_points_kernel_skips_the_loops_collapsed_points(d):
+    y, points = _kernel_case(d, 2 * d)
+    points[::3] = 1e4  # far out on the diagonal: all weight on one row
+    values, live, cache = _points_forward(y, points)
+    expect, expect_live, expect_d_y, collapse = loop_point_index(y, points)
+    assert collapse is not None
+    assert list(live) == expect_live
+    assert np.max(np.abs(values - expect) / np.abs(expect)) < 1e-13
+    d_y = _points_backward(y, cache, 1.0)
+    assert np.max(np.abs(d_y - expect_d_y)) < 1e-12 * np.max(np.abs(expect_d_y))
+
+
+def test_points_kernel_raises_the_loops_last_collapse():
+    y, _ = _kernel_case(3, 1)
+    points = 1e4 * np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
+    _, live, _, (point, mass) = loop_point_index(y, points)
+    assert live == []
+    with pytest.raises(WeightCollapseError) as err:
+        _points_forward(y, points)
+    assert np.array_equal(err.value.point, point)
+    assert err.value.effective_mass == mass
+
+
+def test_wii_at_point_is_the_one_point_kernel():
+    y, points = _kernel_case(4, 4)
+    for p in points:
+        assert wii_at_point(y, p) == _points_forward(y, p[None])[0][0]
 
 
 def test_sample_weighting_points_shape_and_determinism():
