@@ -35,7 +35,6 @@ from .errors import (
 )
 from .metrics import ScoreReport, load_report, max_corr, ots, save_report, score, solve_assignment
 from .mixer import (
-    CouplingNet,
     MixingPipeline,
     MixingStage,
     build_pipeline,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutoEncoderModel",
-    "CouplingNet",
     "Dataset",
     "DegenerateColumnError",
     "DegenerateWeightsError",

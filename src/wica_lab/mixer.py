@@ -4,7 +4,9 @@ A pipeline alternates two volume-preserving moves: a Haar-random
 isometry, then an additive coupling step that shifts one half of the
 coordinates by a frozen random tanh network of the other half.  Both
 moves invert in closed form, so the true sources are always exactly
-recoverable and any unmixing score has a well-defined ceiling.
+recoverable and any unmixing score has a well-defined ceiling.  The
+coupling networks are the trainer's MlpParams with two hidden layers,
+drawn by init_mlp and stored in the model files' w1/b1..w3/b3 layout.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from .core import (
     sample_haar_orthogonal,
 )
 from .errors import DimensionError, FileFormatError
+from .trainer import MlpParams, _mlp_forward_cached, _mlp_from_json, _mlp_to_json, init_mlp
 
 __all__ = [
-    "CouplingNet",
     "MixingStage",
     "MixingPipeline",
     "build_pipeline",
@@ -43,60 +45,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-_NET_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
-
-
-@dataclass(frozen=True, eq=False)
-class CouplingNet:
-    """Fixed random feed-forward net: two tanh hidden layers, linear out."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in _NET_FIELDS:
-            arr = _frozen(getattr(self, name))
-            if not np.all(np.isfinite(arr)):
-                raise DimensionError(f"coupling net {name} has non-finite entries")
-            object.__setattr__(self, name, arr)
-        if self.w1.ndim != 2 or self.w2.ndim != 2 or self.w3.ndim != 2:
-            raise DimensionError("coupling net weights must be matrices")
-        sizes = (
-            self.w1.shape[1] == self.b1.shape[0] == self.w2.shape[0],
-            self.w2.shape[1] == self.b2.shape[0] == self.w3.shape[0],
-            self.w3.shape[1] == self.b3.shape[0],
-        )
-        if not all(sizes):
-            raise DimensionError("coupling net layer sizes are inconsistent")
-
-    @property
-    def in_size(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def out_size(self) -> int:
-        return self.w3.shape[1]
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        if u.ndim != 2 or u.shape[1] != self.in_size:
-            raise DimensionError(
-                f"coupling net expects (*, {self.in_size}) input, got {u.shape}"
-            )
-        h = np.tanh(u @ self.w1 + self.b1)
-        h = np.tanh(h @ self.w2 + self.b2)
-        return h @ self.w3 + self.b3
-
-
 @dataclass(frozen=True, eq=False)
 class MixingStage:
-    """One isometry-plus-coupling step of the pipeline."""
+    """One isometry-plus-coupling step of the pipeline; phi is a copy of
+    the given net with two hidden layers, read-only like q."""
 
     q: np.ndarray
-    phi: CouplingNet
+    phi: MlpParams
     parity: str
 
     def __post_init__(self) -> None:
@@ -108,14 +63,19 @@ class MixingStage:
             raise DimensionError(f"stage matrix is not orthogonal (defect {ortho:.2e})")
         if self.parity not in PARITIES:
             raise DimensionError(f"parity must be one of {PARITIES}, got {self.parity!r}")
+        phi = self.phi
+        if len(phi.sizes) != 4:
+            raise DimensionError(f"coupling net needs two hidden layers, got sizes {phi.sizes}")
         d = q.shape[0]
         want_in, want_out = _coupling_sizes(d, self.parity)
-        if (self.phi.in_size, self.phi.out_size) != (want_in, want_out):
+        if (phi.in_size, phi.out_size) != (want_in, want_out):
             raise DimensionError(
                 f"{self.parity} stage at d={d} needs phi {want_in}->{want_out}, "
-                f"got {self.phi.in_size}->{self.phi.out_size}"
+                f"got {phi.in_size}->{phi.out_size}"
             )
+        frozen_net = MlpParams(phi.sizes, map(_frozen, phi.weights), map(_frozen, phi.biases))
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "phi", frozen_net)
 
     @property
     def d(self) -> int:
@@ -163,16 +123,6 @@ def _parity(t: int) -> str:
     return "odd" if t % 2 == 1 else "even"
 
 
-def _random_coupling(in_size: int, hidden: int, out_size: int, rng: RngStream) -> CouplingNet:
-    gen = rng.generator()
-    # N(0, 1/fan_in) weights keep per-stage distortion O(1) over long pipelines
-    w1 = gen.standard_normal((in_size, hidden)) / np.sqrt(in_size)
-    w2 = gen.standard_normal((hidden, hidden)) / np.sqrt(hidden)
-    w3 = gen.standard_normal((hidden, out_size)) / np.sqrt(hidden)
-    zero = np.zeros
-    return CouplingNet(w1, zero(hidden), w2, zero(hidden), w3, zero(out_size))
-
-
 def build_pipeline(d: int, iterations: int, hidden: int, rng: RngStream) -> MixingPipeline:
     """Construct `iterations` alternating stages from the given stream.
 
@@ -192,35 +142,35 @@ def build_pipeline(d: int, iterations: int, hidden: int, rng: RngStream) -> Mixi
         q = sample_haar_orthogonal(d, branch.split("isometry"))
         parity = _parity(t)
         in_size, out_size = _coupling_sizes(d, parity)
-        phi = _random_coupling(in_size, hidden, out_size, branch.split("coupling"))
+        # N(0, 1/fan_in) weights keep per-stage distortion O(1) over long pipelines
+        phi = init_mlp((in_size, hidden, hidden, out_size), branch.split("coupling"))
         stages.append(MixingStage(q, phi, parity))
     return MixingPipeline(tuple(stages), d, rng.seed)
 
 
-def stage_forward(stage: MixingStage, x) -> np.ndarray:
+def _halves(stage: MixingStage, x) -> tuple[np.ndarray, slice, slice]:
+    """x checked against the stage, then the slices of the half the coupling
+    net reads and of the half it shifts."""
     x = as_data(x, min_cols=2, name="stage input")
     if x.shape[1] != stage.d:
         raise DimensionError(f"stage expects d={stage.d}, got {x.shape[1]}")
-    y = x @ stage.q.T
     hi, _ = _split_sizes(stage.d)
+    first, second = slice(None, hi), slice(hi, None)
+    return (x, first, second) if stage.parity == "odd" else (x, second, first)
+
+
+def stage_forward(stage: MixingStage, x) -> np.ndarray:
+    x, read, shifted = _halves(stage, x)
+    y = x @ stage.q.T
     out = y.copy()
-    if stage.parity == "odd":
-        out[:, hi:] += stage.phi(y[:, :hi])
-    else:
-        out[:, :hi] += stage.phi(y[:, hi:])
+    out[:, shifted] += _mlp_forward_cached(stage.phi, y[:, read])[0]
     return out
 
 
 def stage_inverse(stage: MixingStage, y) -> np.ndarray:
-    y = as_data(y, min_cols=2, name="stage input")
-    if y.shape[1] != stage.d:
-        raise DimensionError(f"stage expects d={stage.d}, got {y.shape[1]}")
-    hi, _ = _split_sizes(stage.d)
+    y, read, shifted = _halves(stage, y)
     out = y.copy()
-    if stage.parity == "odd":
-        out[:, hi:] -= stage.phi(y[:, :hi])
-    else:
-        out[:, :hi] -= stage.phi(y[:, hi:])
+    out[:, shifted] -= _mlp_forward_cached(stage.phi, y[:, read])[0]
     return out @ stage.q
 
 
@@ -242,28 +192,12 @@ def unmix_exact(pipeline: MixingPipeline, x) -> np.ndarray:
 # serialization
 
 
-def _net_to_json(net: CouplingNet) -> dict:
-    return {name: getattr(net, name).tolist() for name in _NET_FIELDS}
-
-
-def _net_from_json(obj, where: str) -> CouplingNet:
-    obj = _require_fields(obj, _NET_FIELDS, where)
-    parts = {
-        name: _array_from_json(obj[name], f"{where}.{name}", 2 if name[0] == "w" else 1)
-        for name in _NET_FIELDS
-    }
-    try:
-        return CouplingNet(**parts)
-    except DimensionError as exc:
-        raise FileFormatError(f"{where}: {exc}") from None
-
-
 def save_pipeline(path, pipeline: MixingPipeline) -> None:
     doc = {
         "d": pipeline.d,
         "seed": pipeline.seed,
         "stages": [
-            {"q": st.q.tolist(), "phi": _net_to_json(st.phi), "parity": st.parity}
+            {"q": st.q.tolist(), "phi": _mlp_to_json(st.phi), "parity": st.parity}
             for st in pipeline.stages
         ],
     }
@@ -282,7 +216,7 @@ def load_pipeline(path) -> MixingPipeline:
         where = f"{path}: stage {t}"
         raw = _require_fields(raw, ("q", "phi", "parity"), where)
         q = _array_from_json(raw["q"], f"{where}.q", 2)
-        phi = _net_from_json(raw["phi"], f"{where}.phi")
+        phi = _mlp_from_json(raw["phi"], f"{where}.phi")
         try:
             stages.append(MixingStage(q, phi, raw["parity"]))
         except DimensionError as exc:

@@ -19,7 +19,9 @@ the diagnostics call, once per step on the stack of all K points as
 bit for bit.  All parameters live in one vector, AutoEncoderModel.theta:
 encoder weights, encoder biases, decoder weights, decoder biases, each in
 layer order and row-major; every weight and bias is a view into it, and
-cost_gradient returns this layout.
+cost_gradient returns this layout.  The one feed-forward net, MlpParams
+with init_mlp, its forward pass and its JSON layout, is also the mixer's
+coupling net.
 
 Nothing here calls an autodiff framework; the gradient is validated
 against central finite differences in the test suite.
@@ -71,17 +73,19 @@ __all__ = [
 _COLLAPSE_RETRIES = 5
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MlpParams:
     """Feed-forward parameters, tanh hidden layers and a linear last layer;
-    weights[l] maps sizes[l] -> sizes[l+1]."""
+    weights[l] maps sizes[l] -> sizes[l+1].  Entries must be finite."""
 
     sizes: tuple[int, ...]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        self.sizes = tuple(int(s) for s in self.sizes)
+        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        object.__setattr__(self, "weights", tuple(np.asarray(w, np.float64) for w in self.weights))
+        object.__setattr__(self, "biases", tuple(np.asarray(b, np.float64) for b in self.biases))
         if len(self.sizes) < 2:
             raise DimensionError("an MLP needs at least input and output sizes")
         if any(s < 1 for s in self.sizes):
@@ -92,16 +96,14 @@ class MlpParams:
                 f"{n_layers} layers need {n_layers} weight/bias pairs, got "
                 f"{len(self.weights)}/{len(self.biases)}"
             )
-        for l in range(n_layers):
-            w = np.asarray(self.weights[l], dtype=np.float64)
-            b = np.asarray(self.biases[l], dtype=np.float64)
+        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (self.sizes[l], self.sizes[l + 1]) or b.shape != (self.sizes[l + 1],):
                 raise DimensionError(
                     f"layer {l}: expected weight {self.sizes[l]}x{self.sizes[l + 1]} "
                     f"and bias {self.sizes[l + 1]}, got {w.shape} and {b.shape}"
                 )
-            self.weights[l] = w
-            self.biases[l] = b
+            if not (np.isfinite(w).all() and np.isfinite(b).all()):
+                raise DimensionError(f"layer {l} has non-finite entries")
 
     @property
     def in_size(self) -> int:

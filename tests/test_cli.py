@@ -292,6 +292,11 @@ _NOT_AN_OBJECT = "[1, 2]\n"
     (load_pipeline, _NOT_AN_OBJECT),
     (load_pipeline, '{"d": 2, "seed": 0}\n'),
     (load_pipeline, '{"d": 2, "seed": 0, "stages": [{"q": [[1, 0], [0, 1]], "parity": "odd"}]}\n'),
+    (load_pipeline, '{"d": 2, "seed": 0, "stages": [{"q": [[1, 0], [0, 1]], "parity": "odd", '
+                    '"phi": {"w1": [[0, 0]], "b1": [0, 0], "w2": [[0], [0]], "b2": [0]}}]}\n'),
+    (load_pipeline, '{"d": 2, "seed": 0, "stages": [{"q": [[1, 0], [0, 1]], "parity": "odd", '
+                    '"phi": {"w1": [[0, 0]], "b1": [0, 0], "w2": [[0, 0], [0, 0]], "b2": [0, 0], '
+                    '"w3": [[0], [0]], "b3": [0], "w4": [[0]]}}]}\n'),
     (load_model, _NOT_AN_OBJECT),
     (load_model, '{"d": 2, "config": {}, "encoder": {}}\n'),
     (load_model, '{"d": 2, "config": [], "encoder": {}, "decoder": {}}\n'),
@@ -303,6 +308,9 @@ _NOT_AN_OBJECT = "[1, 2]\n"
                  '"w2": [[1, 0], [0, 1], [0, 0], [0, 0]], "b2": [0, 0]}, '
                  '"decoder": {"w1": [[1, 0, 0, 0], [0, 1, 0, 0]], "b1": [0, 0, 0, 0], '
                  '"w2": [[1, 0], [0, 1], [0, 0], [0, 0]], "b2": [0, 0]}}\n'),
+    (load_model, '{"d": 2, "config": {"hidden_sizes": []}, '
+                 '"encoder": {"w1": [[NaN, 0], [0, 1]], "b1": [0, 0]}, '
+                 '"decoder": {"w1": [[1, 0], [0, 1]], "b1": [0, 0]}}\n'),
     (_load_config, _NOT_AN_OBJECT),
     (_load_config, '{"steps": 1}\n'),  # no "data"
 ], ids=lambda v: getattr(v, "__name__", None))

@@ -9,7 +9,6 @@ from wica_lab.core import RngStream
 from wica_lab.datagen import SourceSpec, generate
 from wica_lab.errors import DimensionError, FileFormatError
 from wica_lab.mixer import (
-    CouplingNet,
     MixingStage,
     build_pipeline,
     load_pipeline,
@@ -19,24 +18,22 @@ from wica_lab.mixer import (
     stage_inverse,
     unmix_exact,
 )
+from wica_lab.trainer import MlpParams
 
 from oracles import fd_jacobian, linear_fit_residual, load_record
 
 DATA = Path(__file__).parent / "data"
 
 
-def _zero_net(d_in: int, d_out: int, hidden: int = 4) -> CouplingNet:
-    return CouplingNet(
-        w1=np.zeros((d_in, hidden)), b1=np.zeros(hidden),
-        w2=np.zeros((hidden, hidden)), b2=np.zeros(hidden),
-        w3=np.zeros((hidden, d_out)), b3=np.zeros(d_out),
-    )
+def _zero_net(d_in: int, d_out: int, hidden: int = 4) -> MlpParams:
+    sizes = (d_in, hidden, hidden, d_out)
+    weights = [np.zeros(shape) for shape in zip(sizes, sizes[1:])]
+    return MlpParams(sizes, weights, [np.zeros(s) for s in sizes[1:]])
 
 
-def _constant_net(d_in: int, d_out: int, value: float) -> CouplingNet:
+def _constant_net(d_in: int, d_out: int, value: float) -> MlpParams:
     net = _zero_net(d_in, d_out)
-    return CouplingNet(w1=net.w1, b1=net.b1, w2=net.w2, b2=net.b2,
-                       w3=net.w3, b3=np.full(d_out, value))
+    return MlpParams(net.sizes, net.weights, (*net.biases[:2], np.full(d_out, value)))
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +129,8 @@ def test_same_seed_same_pipeline():
     p2 = build_pipeline(4, 3, 8, RngStream(11))
     for s1, s2 in zip(p1.stages, p2.stages):
         assert np.array_equal(s1.q, s2.q)
-        assert np.array_equal(s1.phi.w1, s2.phi.w1)
-        assert np.array_equal(s1.phi.w3, s2.phi.w3)
+        assert np.array_equal(s1.phi.weights[0], s2.phi.weights[0])
+        assert np.array_equal(s1.phi.weights[2], s2.phi.weights[2])
 
 
 def test_mix_is_pure():
@@ -185,6 +182,13 @@ def test_pipeline_json_round_trip(tmp_path):
     assert pipe.seed == back.seed
 
 
+def test_pipeline_file_round_trips_byte_for_byte(tmp_path):
+    path, again = tmp_path / "pipe.json", tmp_path / "again.json"
+    save_pipeline(path, build_pipeline(5, 3, 8, RngStream(16)))
+    save_pipeline(again, load_pipeline(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_loaded_pipeline_equals_rebuilt(tmp_path):
     pipe = build_pipeline(4, 3, 8, RngStream(18))
     path = tmp_path / "pipe.json"
@@ -193,7 +197,7 @@ def test_loaded_pipeline_equals_rebuilt(tmp_path):
     back = load_pipeline(path)
     for s1, s2 in zip(back.stages, rebuilt.stages):
         assert np.array_equal(s1.q, s2.q)
-        assert np.array_equal(s1.phi.w2, s2.phi.w2)
+        assert np.array_equal(s1.phi.weights[1], s2.phi.weights[1])
 
 
 def test_truncated_pipeline_file_rejected(tmp_path):
@@ -214,8 +218,9 @@ def test_pipeline_file_with_missing_field_rejected(tmp_path):
 
 
 def test_coupling_net_is_frozen():
-    net = _zero_net(2, 2)
+    net = MixingStage(q=np.eye(4), phi=_zero_net(2, 2), parity="odd").phi
     with pytest.raises((AttributeError, TypeError)):
-        net.w1 = np.ones((4, 2))
+        net.weights = (np.ones((2, 4)),)
     with pytest.raises(ValueError):
-        net.w1[0, 0] = 5.0  # arrays are read-only views
+        net.weights[0][0, 0] = 5.0  # arrays are read-only copies
+    assert not any(a.flags.writeable for a in net.weights + net.biases)
