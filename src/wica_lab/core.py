@@ -153,17 +153,22 @@ def _normalize_parts(x: np.ndarray):
 def average_ranks(v) -> np.ndarray:
     """Ranks 1..n of a vector, with ties sharing their average rank.
 
-    A stable sort lines the values up; a tie group starts wherever a
-    sorted value differs from the one before it, so -0.0 and 0.0 tie and
-    every NaN (which equals nothing) ranks alone, after all numbers.  The
-    group occupying sorted positions [i, j] gets 0.5 * (i + j) + 1.0, a
-    half-integer and so exact, scattered back through the sort order.
+    A sort lines the values up; a tie group starts wherever a sorted
+    value differs from the one before it, so -0.0 and 0.0 tie and every
+    NaN (which equals nothing) ranks alone, after all numbers and in index
+    order.  The group occupying sorted positions [i, j] gets
+    0.5 * (i + j) + 1.0, a half-integer and so exact, scattered back
+    through the sort order.  Every member of a group gets the same rank,
+    so the sort need not be stable; only the NaN tail, one group per NaN,
+    is put back in index order.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionError(f"ranks are defined for vectors, got ndim={v.ndim}")
     n = v.shape[0]
-    order = np.argsort(v, kind="stable")
+    order = np.argsort(v)
+    nan_rows = np.flatnonzero(np.isnan(v))
+    order[n - len(nan_rows):] = nan_rows
     sv = v[order]
     new_group = np.ones(n, dtype=bool)
     np.not_equal(sv[1:], sv[:-1], out=new_group[1:])

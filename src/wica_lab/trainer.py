@@ -16,7 +16,11 @@ because every weighted statistic is invariant to rescaling all weights.
 The wii term is evaluated and differentiated by wii.py's kernel, the one
 the diagnostics call, once per step on the stack of all K points as
 (K, n, d) arrays; its values equal the diagnostics' one point at a time
-bit for bit.  All parameters live in one vector, AutoEncoderModel.theta:
+bit for bit.  A step runs the encoder once, through the public
+mlp_forward: the code it returns is normalized once, the points are drawn
+from it, and the cost and its gradient reuse that code's activations and
+normalization, so a retry after the points collapse redraws only the
+points.  All parameters live in one vector, AutoEncoderModel.theta:
 encoder weights, encoder biases, decoder weights, decoder biases, each in
 layer order and row-major; every weight and bias is a view into it, and
 cost_gradient returns this layout.  The one feed-forward net, MlpParams
@@ -231,20 +235,28 @@ def _mlp_forward_cached(m: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[n
     a = x
     last = len(m.weights) - 1
     for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        a = a @ w + b
+        # in place, so that a layer allocates one n x width array
+        a = a @ w
+        a += b
         if l < last:
-            a = np.tanh(a)
+            np.tanh(a, out=a)
         acts.append(a)
     return a, acts
 
 
-def mlp_forward(m: MlpParams, x) -> np.ndarray:
-    """Affine / tanh chain with a linear last layer."""
+def mlp_forward(m: MlpParams, x, *, return_activations: bool = False):
+    """Affine / tanh chain with a linear last layer.
+
+    With return_activations=True the result is (out, acts): acts[0] is the
+    input and acts[l + 1] the output of layer l, the cache the backward
+    pass reads.  train takes it so that a step runs its encoder once, for
+    drawing the weighting points and for the cost and gradient alike.
+    """
     x = as_data(x, name="input")
     if x.shape[1] != m.in_size:
         raise DimensionError(f"expected {m.in_size} input columns, got {x.shape[1]}")
-    out, _ = _mlp_forward_cached(m, x)
-    return out
+    out, acts = _mlp_forward_cached(m, x)
+    return (out, acts) if return_activations else out
 
 
 def _mlp_backward(
@@ -284,20 +296,24 @@ def rec_error(model: AutoEncoderModel, x, *, rec_norm: str = "mean") -> float:
 
 
 def _cost_forward_backward(
-    model: AutoEncoderModel, x: np.ndarray, points: np.ndarray,
+    model: AutoEncoderModel, enc_acts: list[np.ndarray], norm, points: np.ndarray,
     cfg: TrainConfig, *, need_grad: bool,
 ):
+    """The cost of a batch, and its gradient if need_grad, given the
+    encoder's activations on the batch (enc_acts[0] is the batch,
+    enc_acts[-1] the code) and _normalize_parts of the code.  The index
+    comes first, so a step whose points all collapse raises before the
+    decoder runs."""
+    x = enc_acts[0]
     n = x.shape[0]
-    enc_out, enc_acts = _mlp_forward_cached(model.encoder, x)
-    recon, dec_acts = _mlp_forward_cached(model.decoder, enc_out)
+    y, u, sigma, denom = norm
+    values, _, cache = _points_forward(y, points)
+    wii_value = float(np.mean(values))
+    recon, dec_acts = _mlp_forward_cached(model.decoder, enc_acts[-1])
     resid = recon - x
     rec = float((resid ** 2).sum())
     if cfg.rec_norm == "mean":
         rec /= n
-
-    y, u, sigma, denom = _normalize_parts(enc_out)
-    values, _, cache = _points_forward(y, points)
-    wii_value = float(np.mean(values))
     total = rec + cfg.beta * wii_value
     if not need_grad:
         return total, rec, wii_value, None
@@ -321,7 +337,9 @@ def _cost_forward_backward(
     return total, rec, wii_value, grad
 
 
-def _check_cost_inputs(model: AutoEncoderModel, x, points) -> tuple[np.ndarray, np.ndarray]:
+def _cost_inputs(model: AutoEncoderModel, x, points):
+    """Check a batch and its points, run the encoder and normalize the code:
+    the inputs of _cost_forward_backward after the model."""
     x = as_data(x, min_cols=2, name="batch")
     points = as_data(points, name="weighting points")
     if x.shape[1] != model.d:
@@ -330,24 +348,25 @@ def _check_cost_inputs(model: AutoEncoderModel, x, points) -> tuple[np.ndarray, 
         raise DimensionError(
             f"weighting points must have {model.d} columns, got {points.shape[1]}"
         )
-    return x, points
+    code, enc_acts = _mlp_forward_cached(model.encoder, x)
+    return enc_acts, _normalize_parts(code), points
 
 
 def wica_cost(
     model: AutoEncoderModel, x, points, cfg: TrainConfig
 ) -> tuple[float, float, float]:
     """(total, rec, wii) of a batch at fixed weighting points."""
-    x, points = _check_cost_inputs(model, x, points)
     total, rec, wii_value, _ = _cost_forward_backward(
-        model, x, points, cfg, need_grad=False
+        model, *_cost_inputs(model, x, points), cfg, need_grad=False
     )
     return total, rec, wii_value
 
 
 def cost_gradient(model: AutoEncoderModel, x, points, cfg: TrainConfig) -> np.ndarray:
     """Exact gradient of wica_cost's total w.r.t. model.theta, in its layout."""
-    x, points = _check_cost_inputs(model, x, points)
-    _, _, _, grad = _cost_forward_backward(model, x, points, cfg, need_grad=True)
+    _, _, _, grad = _cost_forward_backward(
+        model, *_cost_inputs(model, x, points), cfg, need_grad=True
+    )
     return grad
 
 
@@ -387,7 +406,7 @@ def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
 
     Weighting points are redrawn from the current normalized code at
     every step; a step whose points all collapse retries with fresh
-    points up to 5 times before giving up.
+    points up to 5 times before giving up.  The encoder runs once per step.
     """
     x = as_data(x, min_cols=2, name="training data")
     n, d = x.shape
@@ -410,14 +429,15 @@ def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
     records: list[TraceRecord] = []
     for step in range(1, cfg.steps + 1):
         idx = batch_gen.choice(n, size=cfg.batch_size, replace=False)
-        xb = x[idx]
+        code, enc_acts = mlp_forward(model.encoder, x[idx], return_activations=True)
+        norm = _normalize_parts(code)
         outcome = None
         for _ in range(1 + _COLLAPSE_RETRIES):
-            code = mlp_forward(model.encoder, xb)
-            y = _normalize_parts(code)[0]
-            points = sample_weighting_points(y, num_points, points_rng)
+            points = sample_weighting_points(norm[0], num_points, points_rng)
             try:
-                outcome = _cost_forward_backward(model, xb, points, cfg, need_grad=True)
+                outcome = _cost_forward_backward(
+                    model, enc_acts, norm, points, cfg, need_grad=True
+                )
                 break
             except WeightCollapseError as exc:
                 last = exc

@@ -160,7 +160,8 @@ def _points_forward(y: np.ndarray, points: np.ndarray):
     if collapsed.all():
         raise WeightCollapseError(points[-1], float(total[-1] - 1.0))
     live = np.flatnonzero(~collapsed)
-    points, w, total = points[live], w[live], total[live]
+    if len(live) < len(points):
+        points, w, total = points[live], w[live], total[live]
     scale = total[:, None, None]
     centered = y - np.matmul(w[:, None, :], y) / scale
     z = np.matmul(centered.transpose(0, 2, 1) * w[:, None, :], centered) / scale

@@ -204,7 +204,10 @@ def test_average_ranks_match_loop_oracle_bit_for_bit():
         np.zeros(0), np.array([3.5]), np.full(1000, 2.0),
         np.array([0.0, -0.0, 1.0, -0.0, 0.0]),
         np.array([np.nan, 1.0, np.nan, -np.inf, 1.0, np.inf, -0.0, 0.0]),
+        np.full(50, np.nan),
     ]
+    ascending = np.sort(g.choice([-1.5, -0.0, 0.0, 1.0, 2.5, np.nan], size=2000))
+    cases += [ascending, ascending[::-1]]  # sorted and reverse-sorted
     for n in (2, 17, 1000, 20000):
         cases += [
             g.standard_normal(n),

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wica_lab import trainer
 from wica_lab.core import RngStream, normalize_componentwise, sample_haar_orthogonal
 from wica_lab.errors import (
     DimensionError,
@@ -172,6 +173,17 @@ def test_mlp_forward_rejects_wrong_width():
     m = init_mlp((3, 4, 2), RngStream(0).split("m"))
     with pytest.raises(DimensionError):
         mlp_forward(m, np.zeros((5, 2)))
+
+
+def test_mlp_forward_returns_its_activations_on_request():
+    m = init_mlp((3, 8, 5, 3), RngStream(5).split("m"))
+    x = RngStream(6).split("x").generator().standard_normal((40, 3))
+    before = x.copy()
+    out, acts = mlp_forward(m, x, return_activations=True)
+    assert out.tobytes() == mlp_forward(m, x).tobytes()
+    assert [a.shape for a in acts] == [(40, 3), (40, 8), (40, 5), (40, 3)]
+    assert acts[0].tobytes() == before.tobytes() and acts[-1].tobytes() == out.tobytes()
+    assert x.tobytes() == before.tobytes()
 
 
 def test_encode_is_encoder_forward():
@@ -430,6 +442,60 @@ def test_train_same_seed_is_bit_identical():
     ):
         assert np.array_equal(a, b)
     assert t1.records == t2.records
+
+
+def _counting(monkeypatch, name: str, calls: list, override=None):
+    """Replace trainer.<name> with a wrapper that logs each call's first
+    argument; override may answer a call instead of the real function
+    (None: pass through)."""
+    real = getattr(trainer, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        answer = override(*args) if override is not None else None
+        return real(*args, **kwargs) if answer is None else answer
+
+    monkeypatch.setattr(trainer, name, wrapper)
+
+
+def _far_points(y, num_points, rng):
+    # every weight but the nearest row's underflows, so each point collapses
+    return np.full((num_points, y.shape[1]), 1e3)
+
+
+def test_train_runs_the_encoder_once_per_step(monkeypatch):
+    forwards: list = []
+    nets: list = []
+    _counting(monkeypatch, "mlp_forward", forwards)
+    _counting(monkeypatch, "_mlp_forward_cached", nets)
+    model, _ = train(_toy_data(5), TrainConfig(steps=5, batch_size=64, hidden_sizes=(8,), seed=2))
+    # one public call per step, and no other encoder pass beside it
+    assert len(forwards) == 5
+    assert sum(net is model.encoder for net in nets) == 5
+
+
+def test_collapse_retry_redraws_the_points_only(monkeypatch):
+    x = _toy_data(6)
+    cfg = TrainConfig(steps=6, batch_size=64, hidden_sizes=(8,), seed=5, log_every=1)
+    ref_model, ref_trace = train(x, cfg)
+    forwards: list = []
+    draws: list = []
+    _counting(monkeypatch, "mlp_forward", forwards)
+    # step 3's first draw collapses without touching the points stream
+    _counting(monkeypatch, "sample_weighting_points", draws,
+              lambda *args: _far_points(*args) if len(draws) == 3 else None)
+    model, trace = train(x, cfg)
+    assert len(draws) == cfg.steps + 1 and len(forwards) == cfg.steps
+    assert model.theta.tobytes() == ref_model.theta.tobytes()
+    assert trace == ref_trace
+
+
+def test_train_gives_up_when_every_draw_collapses(monkeypatch):
+    draws: list = []
+    _counting(monkeypatch, "sample_weighting_points", draws, _far_points)
+    with pytest.raises(WeightCollapseError):
+        train(_toy_data(7), TrainConfig(steps=3, batch_size=64, hidden_sizes=(8,)))
+    assert len(draws) == 1 + trainer._COLLAPSE_RETRIES
 
 
 def test_trace_totals_are_consistent():
