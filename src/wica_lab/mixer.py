@@ -22,7 +22,7 @@ from .core import (
     sample_haar_orthogonal,
 )
 from .errors import DimensionError, FileFormatError
-from .trainer import MlpParams, _mlp_forward_cached, _mlp_from_json, _mlp_to_json, init_mlp
+from .trainer import MlpParams, _mlp_forward, _mlp_from_json, _mlp_to_json, init_mlp
 
 __all__ = [
     "MixingStage",
@@ -163,14 +163,14 @@ def stage_forward(stage: MixingStage, x) -> np.ndarray:
     x, read, shifted = _halves(stage, x)
     y = x @ stage.q.T
     out = y.copy()
-    out[:, shifted] += _mlp_forward_cached(stage.phi, y[:, read])[0]
+    out[:, shifted] += _mlp_forward(stage.phi, y[:, read])
     return out
 
 
 def stage_inverse(stage: MixingStage, y) -> np.ndarray:
     y, read, shifted = _halves(stage, y)
     out = y.copy()
-    out[:, shifted] -= _mlp_forward_cached(stage.phi, y[:, read])[0]
+    out[:, shifted] -= _mlp_forward(stage.phi, y[:, read])
     return out @ stage.q
 
 

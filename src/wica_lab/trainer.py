@@ -27,6 +27,12 @@ cost_gradient returns this layout.  The one feed-forward net, MlpParams
 with init_mlp, its forward pass and its JSON layout, is also the mixer's
 coupling net.
 
+Activations are kept only for the backward pass: the forward keeps each
+layer's output when its caller collects them (the step's encoder pass
+and the cost's decoder pass) and otherwise frees it as soon as the next
+layer's output exists, so encoding a full sample holds two layer
+outputs, not one per layer.
+
 Nothing here calls an autodiff framework; the gradient is validated
 against central finite differences in the test suite.
 """
@@ -229,9 +235,13 @@ def init_model(d: int, hidden_sizes, rng: RngStream) -> AutoEncoderModel:
     return AutoEncoderModel(encoder, decoder)
 
 
-def _mlp_forward_cached(m: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    # caches activations per layer; tanh' is recovered as 1 - a^2
-    acts = [x]
+def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """The affine / tanh chain.  Given a list, acts collects the input and
+    each layer's output, the cache the backward pass reads (tanh' is
+    recovered as 1 - a^2); without one, each layer's output is freed as
+    soon as the next exists, so a pass holds at most two."""
+    if acts is not None:
+        acts.append(x)
     a = x
     last = len(m.weights) - 1
     for l, (w, b) in enumerate(zip(m.weights, m.biases)):
@@ -240,8 +250,9 @@ def _mlp_forward_cached(m: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[n
         a += b
         if l < last:
             np.tanh(a, out=a)
-        acts.append(a)
-    return a, acts
+        if acts is not None:
+            acts.append(a)
+    return a
 
 
 def mlp_forward(m: MlpParams, x, *, return_activations: bool = False):
@@ -251,12 +262,15 @@ def mlp_forward(m: MlpParams, x, *, return_activations: bool = False):
     input and acts[l + 1] the output of layer l, the cache the backward
     pass reads.  train takes it so that a step runs its encoder once, for
     drawing the weighting points and for the cost and gradient alike.
+    Without it each layer's output is freed once the next exists.
     """
     x = as_data(x, name="input")
     if x.shape[1] != m.in_size:
         raise DimensionError(f"expected {m.in_size} input columns, got {x.shape[1]}")
-    out, acts = _mlp_forward_cached(m, x)
-    return (out, acts) if return_activations else out
+    if not return_activations:
+        return _mlp_forward(m, x)
+    acts: list[np.ndarray] = []
+    return _mlp_forward(m, x, acts), acts
 
 
 def _mlp_backward(
@@ -309,7 +323,8 @@ def _cost_forward_backward(
     y, u, sigma, denom = norm
     values, _, cache = _points_forward(y, points)
     wii_value = float(np.mean(values))
-    recon, dec_acts = _mlp_forward_cached(model.decoder, enc_acts[-1])
+    dec_acts: list[np.ndarray] = []
+    recon = _mlp_forward(model.decoder, enc_acts[-1], dec_acts)
     resid = recon - x
     rec = float((resid ** 2).sum())
     if cfg.rec_norm == "mean":
@@ -348,7 +363,8 @@ def _cost_inputs(model: AutoEncoderModel, x, points):
         raise DimensionError(
             f"weighting points must have {model.d} columns, got {points.shape[1]}"
         )
-    code, enc_acts = _mlp_forward_cached(model.encoder, x)
+    enc_acts: list[np.ndarray] = []
+    code = _mlp_forward(model.encoder, x, enc_acts)
     return enc_acts, _normalize_parts(code), points
 
 
