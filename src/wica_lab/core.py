@@ -351,15 +351,12 @@ def save_csv(path, x) -> None:
     """Write a sample matrix as CSV with header c0..c{d-1}.
 
     Values are written with repr so a load/save round trip reproduces the
-    float64 payload bit for bit.
+    float64 payload bit for bit; lines end in CRLF, as csv.writer's do.
     """
     x = as_data(x)
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_column_header(x.shape[1]))
-        for row in x:
-            writer.writerow([repr(float(v)) for v in row])
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(_column_header(x.shape[1])) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in x.tolist())
 
 
 def load_csv(path) -> np.ndarray:

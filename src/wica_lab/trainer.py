@@ -30,8 +30,12 @@ coupling net.
 Activations are kept only for the backward pass: the forward keeps each
 layer's output when its caller collects them (the step's encoder pass
 and the cost's decoder pass) and otherwise frees it as soon as the next
-layer's output exists, so encoding a full sample holds two layer
-outputs, not one per layer.
+layer's output exists.  A pass that collects nothing also runs a large
+input in contiguous row blocks, 4096 rows at width 128, into one output
+array, so encoding a full sample holds two block-sized layer outputs
+rather than two sample-sized ones.  The bytes are those of one call: a
+block never drops below the row count where OpenBLAS switches to its
+small-matrix kernel (about 3907 rows for the d=2 output layer).
 
 Nothing here calls an autodiff framework; the gradient is validated
 against central finite differences in the test suite.
@@ -81,6 +85,8 @@ __all__ = [
 ]
 
 _COLLAPSE_RETRIES = 5
+# rows x width of a block in a forward pass that keeps no activations
+_BLOCK_ELEMENTS = 2 ** 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +244,26 @@ def init_model(d: int, hidden_sizes, rng: RngStream) -> AutoEncoderModel:
 def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.ndarray:
     """The affine / tanh chain.  Given a list, acts collects the input and
     each layer's output, the cache the backward pass reads (tanh' is
-    recovered as 1 - a^2); without one, each layer's output is freed as
-    soon as the next exists, so a pass holds at most two."""
+    recovered as 1 - a^2), in one call over all rows.
+
+    Without one, each layer's output is freed as soon as the next exists,
+    and an input of at least two blocks runs block by block into one
+    output array, so a pass holds two block-sized layer outputs.  A block
+    has _BLOCK_ELEMENTS // max(m.sizes) rows (4096 at width 128) and the
+    remainder joins the last block.  Rows of a gemm do not depend on each
+    other, so the bytes are those of one call, as long as every call runs
+    the same BLAS kernel: OpenBLAS takes a small-matrix kernel for
+    M*N*K < 1e6, which the d=2 output layer (M x 128)(128 x 2) reaches
+    below 3907 rows, and no block is that small.
+    """
+    rows = _BLOCK_ELEMENTS // max(m.sizes)
+    n = x.shape[0]
+    if acts is None and n >= 2 * rows > 0:
+        out = np.empty((n, m.out_size))
+        starts = range(0, n - rows + 1, rows)
+        for start, stop in zip(starts, [*starts[1:], n]):
+            out[start:stop] = _mlp_forward(m, x[start:stop])
+        return out
     if acts is not None:
         acts.append(x)
     a = x
@@ -262,7 +286,8 @@ def mlp_forward(m: MlpParams, x, *, return_activations: bool = False):
     input and acts[l + 1] the output of layer l, the cache the backward
     pass reads.  train takes it so that a step runs its encoder once, for
     drawing the weighting points and for the cost and gradient alike.
-    Without it each layer's output is freed once the next exists.
+    Without it each layer's output is freed once the next exists, and an
+    input of at least two row blocks runs block by block (_mlp_forward).
     """
     x = as_data(x, name="input")
     if x.shape[1] != m.in_size:

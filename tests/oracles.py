@@ -11,6 +11,7 @@ speed.  It is test-only and is not part of the installed package.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ __all__ = [
     "CalibrationRecord",
     "save_record",
     "load_record",
+    "csv_writer_save_csv",
 ]
 
 
@@ -453,3 +455,18 @@ def load_record(path) -> CalibrationRecord:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: bad calibration record: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# file formats
+
+
+def csv_writer_save_csv(path, x) -> None:
+    """core.save_csv's format through csv.writer, one repr(float(v)) per
+    numpy scalar: header c0..c{d-1}, then one row per sample."""
+    x = np.asarray(x, dtype=np.float64)
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"c{j}" for j in range(x.shape[1])])
+        for row in x:
+            writer.writerow([repr(float(v)) for v in row])

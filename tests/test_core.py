@@ -1,5 +1,7 @@
 """Core numerics: weighted statistics, normalization, correlations, Haar draws."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,13 @@ from wica_lab.errors import (
 )
 from wica_lab.metrics import spearman_distance_matrix
 
-from oracles import ks_statistic, loop_average_ranks, loop_weighted_cov, loop_weighted_mean
+from oracles import (
+    csv_writer_save_csv,
+    ks_statistic,
+    loop_average_ranks,
+    loop_weighted_cov,
+    loop_weighted_mean,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +312,20 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     save_csv(path, x)
     back = load_csv(path)
     assert np.array_equal(back, x)
+
+
+def test_save_csv_writes_csv_writer_bytes(tmp_path):
+    g = RngStream(23).split("csv").generator()
+    x = g.standard_normal((50, 3)) * 1e3
+    x[0] = [-0.0, 5e-324, 1e-300]
+    x[1] = [1e16, -1e16, 0.0]
+    x[2, 0] = -0.1
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    save_csv(ours, x)
+    csv_writer_save_csv(oracle, x)
+    sha = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (ours, oracle)]
+    assert sha[0] == sha[1]
+    assert np.array_equal(load_csv(ours), x)
 
 
 def test_dataset_load_save(tmp_path):

@@ -393,6 +393,37 @@ def test_forward_pass_holds_at_most_two_layer_outputs(forward):
     assert peak < 2.5 * (4096 * 128 * 8)
 
 
+@pytest.mark.parametrize("d", [2, 16])
+@pytest.mark.parametrize("n", [8191, 8192, 9000, 17618])
+def test_blocked_encode_equals_one_call_bit_for_bit(d, n):
+    """encode runs 4096-row blocks at width 128 once the input has two
+    blocks (8191 rows: one call; 8192 and 9000: two blocks, the second
+    taking the remainder; 17618: four).  The collecting forward is one
+    call over all rows, so it is the reference.  OpenBLAS takes a
+    small-matrix kernel when M*N*K < 1e6: below 3907 rows the d=2 output
+    layer, (M x 128)(128 x 2), rounds differently, which the 4096-row
+    floor of a block avoids."""
+    model = init_model(d, (128, 128, 128), RngStream(21).split("init"))
+    x = RngStream(22).split("x").generator().standard_normal((n, d))
+    assert encode(model, x).tobytes() == trainer._mlp_forward(model.encoder, x, []).tobytes()
+
+
+def test_blocked_encode_holds_one_block_of_layer_outputs():
+    """32768 rows through (128, 128, 128) run as eight 4096-row blocks: the
+    pass peaks below three block-sized layer outputs plus the (n, d)
+    result, where one call over all rows holds two 32 MB layer outputs."""
+    n, d = 32768, 2
+    model = init_model(d, (128, 128, 128), RngStream(23).split("init"))
+    x = RngStream(24).split("x").generator().standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        encode(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (4096 * 128 * 8) + n * d * 8
+
+
 def test_parameters_are_views_of_theta(tmp_path: Path):
     def shares_theta(model: AutoEncoderModel) -> bool:
         arrays = (
