@@ -9,12 +9,10 @@ correlations.
 """
 
 from .core import (
-    Dataset,
     RngStream,
     load_csv,
     normalize_componentwise,
     pearson_corr_matrix,
-    polar_orthogonal,
     sample_haar_orthogonal,
     save_csv,
     weighted_cov,
@@ -33,7 +31,7 @@ from .errors import (
     WeightCollapseError,
     WicaError,
 )
-from .metrics import ScoreReport, load_report, max_corr, ots, save_report, score, solve_assignment
+from .metrics import ScoreReport, max_corr, ots, save_report, score, solve_assignment
 from .mixer import (
     MixingPipeline,
     MixingStage,
@@ -51,8 +49,6 @@ from .trainer import (
     cost_gradient,
     encode,
     load_model,
-    load_trace,
-    rec_error,
     save_model,
     save_trace,
     train,
@@ -61,7 +57,6 @@ from .trainer import (
 from .wii import (
     WiiConfig,
     concentration,
-    gaussian_log_weights,
     wii_at_point,
     wii_index,
     wii_multi,
@@ -71,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutoEncoderModel",
-    "Dataset",
     "DegenerateColumnError",
     "DegenerateWeightsError",
     "DimensionError",
@@ -96,20 +90,15 @@ __all__ = [
     "concentration",
     "cost_gradient",
     "encode",
-    "gaussian_log_weights",
     "generate",
     "load_csv",
     "load_model",
     "load_pipeline",
-    "load_report",
-    "load_trace",
     "max_corr",
     "mix",
     "normalize_componentwise",
     "ots",
     "pearson_corr_matrix",
-    "polar_orthogonal",
-    "rec_error",
     "sample_haar_orthogonal",
     "save_csv",
     "save_model",

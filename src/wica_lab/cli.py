@@ -34,8 +34,8 @@ import numpy as np
 
 from . import datagen, metrics, mixer, trainer, wii
 from .core import (
-    Dataset, RngStream, _bool, _choice, _int, _int_list, _object, _parse, _parse_options,
-    _read_json_object, _str, normalize_componentwise, save_csv,
+    RngStream, _at_least, _bool, _choice, _distinct, _int, _int_list, _list_of, _object, _parse,
+    _parse_options, _read_json_object, _str, as_data, load_csv, normalize_componentwise, save_csv,
 )
 from .errors import DimensionError, FileFormatError, NonFiniteError, WicaError
 
@@ -69,6 +69,10 @@ def _write_manifest(primary: Path, command: str, config: dict, inputs: list[Path
     }
     manifest = primary.with_name(primary.name + ".manifest.json")
     manifest.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _load_dataset(path: Path) -> np.ndarray:
+    return as_data(load_csv(path), min_cols=2, name="dataset")
 
 
 # ---------------------------------------------------------------------------
@@ -127,15 +131,17 @@ _PLOT_DATA = {"data": (_str, _REQUIRED), "out_dir": (_str, "plots"), "cols": (_i
 # each grid cell trains with its own seed from "seeds"
 _BENCH_TRAIN = _config_options(trainer.TrainConfig, "seed")
 _BENCH = {
-    "dims": (_int_list, (2,)), "mixes": (_int_list, (10,)), "seeds": (_int_list, (0,)),
-    "n": (_int, 16384), "source_kind": (_choice(*datagen.KINDS), "sine_mixture"),
-    "source_params": (_object, {}), "source_seed": (_int, 0), "mix_seed": (_int, 0),
-    "mix_hidden": (_int, 16),
+    "dims": (_distinct(_list_of(_at_least(_int, 2))), (2,)),
+    "mixes": (_distinct(_list_of(_at_least(_int, 1))), (10,)),
+    "seeds": (_distinct(_list_of(_at_least(_int, 0))), (0,)),
+    "n": (_at_least(_int, 2), 16384), "source_kind": (_choice(*datagen.KINDS), "sine_mixture"),
+    "source_params": (_object, {}), "source_seed": (_at_least(_int, 0), 0),
+    "mix_seed": (_at_least(_int, 0), 0), "mix_hidden": (_at_least(_int, 1), 16),
     "train": (
         lambda value: _parse_options(_BENCH_TRAIN, _object(value)),
         _parse_options(_BENCH_TRAIN, {}),
     ),
-    "out_dir": (_str, "bench"), "threads": (_int, 1),
+    "out_dir": (_str, "bench"), "threads": (_at_least(_int, 1), 1),
 }
 
 
@@ -157,7 +163,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_mix(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _MIX)
     src_path = Path(cfg["data"])
-    sources = normalize_componentwise(Dataset.load(src_path).x)
+    sources = normalize_componentwise(_load_dataset(src_path))
     pipeline = mixer.build_pipeline(
         sources.shape[1], cfg["iterations"], cfg["hidden"], RngStream(cfg["seed"])
     )
@@ -175,7 +181,7 @@ def _cmd_unmix_exact(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _UNMIX_EXACT)
     data_path, pipe_path = Path(cfg["data"]), Path(cfg["pipeline"])
     pipeline = mixer.load_pipeline(pipe_path)
-    recovered = mixer.unmix_exact(pipeline, Dataset.load(data_path).x)
+    recovered = mixer.unmix_exact(pipeline, _load_dataset(data_path))
     out = Path(cfg["out"])
     save_csv(out, recovered)
     _write_manifest(out, "unmix-exact", cfg, [data_path, pipe_path], [out])
@@ -186,7 +192,7 @@ def _cmd_unmix_exact(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _TRAIN)
     data_path = Path(cfg["data"])
-    data = Dataset.load(data_path).x
+    data = _load_dataset(data_path)
     tc = trainer.TrainConfig(**{key: cfg[key] for key in _TRAIN_CONFIG})
     model, trace = trainer.train(data, tc)
     model_out, trace_out = Path(cfg["model_out"]), Path(cfg["trace_out"])
@@ -207,7 +213,7 @@ def _cmd_encode(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _ENCODE)
     model_path, data_path = Path(cfg["model"]), Path(cfg["data"])
     model, _ = trainer.load_model(model_path)
-    z = trainer.encode(model, Dataset.load(data_path).x)
+    z = trainer.encode(model, _load_dataset(data_path))
     out = Path(cfg["out"])
     save_csv(out, z)
     _write_manifest(out, "encode", cfg, [model_path, data_path], [out])
@@ -221,7 +227,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     args.sources = args.sources if args.sources_pos is None else args.sources_pos
     cfg = _resolve(args, _SCORE)
     z_path, s_path = Path(cfg["z"]), Path(cfg["sources"])
-    report = metrics.score(Dataset.load(z_path).x, Dataset.load(s_path).x)
+    report = metrics.score(_load_dataset(z_path), _load_dataset(s_path))
     out = Path(cfg["out"])
     metrics.save_report(out, report, matrices=cfg["matrices"])
     _write_manifest(out, "score", cfg, [z_path, s_path], [out])
@@ -232,7 +238,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_wii(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _WII)
     data_path = Path(cfg["data"])
-    data = Dataset.load(data_path).x
+    data = _load_dataset(data_path)
     wcfg = wii.WiiConfig(num_points=cfg["num_points"])
     value = wii.wii_index(data, wcfg, RngStream(cfg["seed"]))
     out = Path(cfg["out"])
@@ -252,7 +258,7 @@ def _cmd_wii(args: argparse.Namespace) -> int:
 def _cmd_plot_data(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _PLOT_DATA)
     data_path = Path(cfg["data"])
-    data = Dataset.load(data_path).x
+    data = _load_dataset(data_path)
     d = data.shape[1]
     if len(cfg["cols"]) != 2 or not all(0 <= c < d for c in cfg["cols"]):
         raise DimensionError(f"cols must be two column indices below d={d}, got {cfg['cols']}")
@@ -314,11 +320,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except WicaError as exc:
             return key, {"status": "failed", "error": str(exc)}
 
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(job, runs))
-    else:
-        results = dict(map(job, runs))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        results = dict(pool.map(job, runs))
 
     runs_path = out_dir / "runs.csv"
     with runs_path.open("w", newline="") as fh:

@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Dataset",
     "RngStream",
     "as_data",
     "as_weights",
@@ -38,7 +36,6 @@ __all__ = [
     "normalize_componentwise",
     "average_ranks",
     "pearson_corr_matrix",
-    "polar_orthogonal",
     "sample_haar_orthogonal",
     "load_csv",
     "save_csv",
@@ -76,24 +73,6 @@ def as_weights(w, n: int) -> np.ndarray:
     if arr.sum() <= 0.0:
         raise DegenerateWeightsError("weights sum to zero")
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Dataset:
-    """A validated sample matrix with at least two columns.
-
-    Thin wrapper used at file boundaries; numerical routines take bare
-    arrays so intermediate results never pay re-validation.
-    """
-
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", as_data(self.x, min_cols=2, name="dataset"))
-
-    @classmethod
-    def load(cls, path) -> "Dataset":
-        return cls(load_csv(path))
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +254,6 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u / sigma, sigma, v
 
 
-def polar_orthogonal(g) -> np.ndarray:
-    """Orthogonal polar factor u @ v.T of a nonsingular square matrix."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteError("matrix contains non-finite values")
-    u, _, v = _jacobi_svd(g)
-    return u @ v.T
-
-
 def sample_haar_orthogonal(d: int, rng: "RngStream | np.random.Generator") -> np.ndarray:
     """Draw a d x d orthogonal matrix from the Haar measure.
 
@@ -296,8 +264,8 @@ def sample_haar_orthogonal(d: int, rng: "RngStream | np.random.Generator") -> np
     if d < 2:
         raise DimensionError(f"dimension must be at least 2, got {d}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    g = gen.standard_normal((d, d))
-    return polar_orthogonal(g)
+    u, _, v = _jacobi_svd(gen.standard_normal((d, d)))
+    return u @ v.T
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +493,16 @@ def _at_least(parse, low, *, strict: bool = False):
 
 def _optional(parse):
     return lambda value: None if value is None else parse(value)
+
+
+def _distinct(parse):
+    """parse, then a DimensionError if the list it reads repeats a value."""
+    def distinct(value):
+        out = parse(value)
+        if len(set(out)) < len(out):
+            raise DimensionError(f"repeats a value: {list(out)}")
+        return out
+    return distinct
 
 
 def _parse(key: str, parse, value):

@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _read_json_object, as_data, average_ranks, pearson_corr_matrix
-from .errors import DimensionError, FileFormatError, NonFiniteError
+from .core import as_data, average_ranks, pearson_corr_matrix
+from .errors import DimensionError, NonFiniteError
 
 __all__ = [
     "ScoreReport",
@@ -37,7 +37,6 @@ __all__ = [
     "score",
     "report_to_json",
     "save_report",
-    "load_report",
 ]
 
 
@@ -256,22 +255,3 @@ def report_to_json(report: ScoreReport, *, matrices: bool = True) -> str:
 
 def save_report(path, report: ScoreReport, *, matrices: bool = True) -> None:
     Path(path).write_text(report_to_json(report, matrices=matrices))
-
-
-def load_report(path) -> ScoreReport:
-    doc = _read_json_object(
-        path, ("ots", "max_corr", "assignment_ots", "assignment_max_corr")
-    )
-    try:
-        d = len(doc["assignment_ots"])
-        empty = np.full((d, d), np.nan)
-        return ScoreReport(
-            ots=float(doc["ots"]),
-            max_corr=float(doc["max_corr"]),
-            assignment_ots=tuple(int(k) for k in doc["assignment_ots"]),
-            assignment_max_corr=tuple(int(k) for k in doc["assignment_max_corr"]),
-            spearman_matrix=np.asarray(doc.get("spearman_matrix", empty), dtype=np.float64),
-            pearson_matrix=np.asarray(doc.get("pearson_matrix", empty), dtype=np.float64),
-        )
-    except (TypeError, ValueError, DimensionError) as exc:
-        raise FileFormatError(f"{path}: {exc}") from None

@@ -3,7 +3,7 @@ independence of the code.
 
 The cost of a minibatch X with weighting points p_1..p_K is
 
-    total = rec_error(X) + beta * wii(normalize(E(X)); p_1..p_K)
+    total = rec(X) + beta * wii(normalize(E(X)); p_1..p_K)
 
 and every step minimizes it by exact reverse-mode differentiation
 written out by hand: through the decoder, the componentwise
@@ -73,7 +73,6 @@ __all__ = [
     "init_mlp",
     "init_model",
     "mlp_forward",
-    "rec_error",
     "wica_cost",
     "cost_gradient",
     "train",
@@ -81,7 +80,6 @@ __all__ = [
     "save_model",
     "load_model",
     "save_trace",
-    "load_trace",
 ]
 
 _COLLAPSE_RETRIES = 5
@@ -209,11 +207,6 @@ class TraceRecord(NamedTuple):
 class TrainTrace:
     records: tuple[TraceRecord, ...] = field(default_factory=tuple)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "records", tuple(TraceRecord(*r) for r in self.records)
-        )
-
 
 # ---------------------------------------------------------------------------
 # construction and forward passes
@@ -320,14 +313,6 @@ def _mlp_backward(
 def encode(model: AutoEncoderModel, x) -> np.ndarray:
     """The retrieved signals: encoder forward pass only."""
     return mlp_forward(model.encoder, x)
-
-
-def rec_error(model: AutoEncoderModel, x, *, rec_norm: str = "mean") -> float:
-    """Summed squared reconstruction error, optionally divided by N."""
-    x = as_data(x, name="batch")
-    recon = mlp_forward(model.decoder, mlp_forward(model.encoder, x))
-    sq = float(((recon - x) ** 2).sum())
-    return sq / x.shape[0] if rec_norm == "mean" else sq
 
 
 # ---------------------------------------------------------------------------
@@ -561,26 +546,3 @@ def save_trace(path, trace: TrainTrace) -> None:
         writer.writerow(["step", "rec_error", "wii", "total"])
         for r in trace.records:
             writer.writerow([r.step, repr(r.rec_error), repr(r.wii), repr(r.total)])
-
-
-def load_trace(path) -> TrainTrace:
-    path = Path(path)
-    try:
-        with path.open("r", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["step", "rec_error", "wii", "total"]:
-                raise FileFormatError(f"{path}: bad trace header {header!r}")
-            records = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != 4:
-                    raise FileFormatError(f"{path}:{lineno}: expected 4 fields")
-                try:
-                    records.append(
-                        TraceRecord(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
-                    )
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from None
-    return TrainTrace(tuple(records))

@@ -33,8 +33,6 @@ from .errors import DimensionError, InsufficientDataError, NonFiniteError, Weigh
 
 __all__ = [
     "WiiConfig",
-    "gaussian_log_weights",
-    "weights_from_log",
     "dependence_coefficients",
     "wii_at_point",
     "sample_weighting_points",
@@ -68,16 +66,6 @@ class WiiConfig:
         return d if self.num_points is None else self.num_points
 
 
-def gaussian_log_weights(y, p) -> np.ndarray:
-    """Log of unnormalized N(p, I) density at every row of y.
-
-    The density's constant factor cancels in every weighted statistic,
-    so it is dropped here and never materialized.
-    """
-    y = as_data(y, name="sample")
-    return _log_weights(y, _as_point(p, y.shape[1])[None])[0]
-
-
 def _as_point(p, d: int) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (d,):
@@ -88,32 +76,19 @@ def _as_point(p, d: int) -> np.ndarray:
 
 
 def _log_weights(y: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(K, n) log weights of the n rows of y under each of K points."""
+    """(K, n) log weights of the n rows of y under each of K points: the log
+    N(p, I) density less its constant, which cancels in every statistic."""
     diff = y - points[:, None, :]
     return -0.5 * np.einsum("kij,kij->ki", diff, diff)
 
 
 def _weights(lw: np.ndarray):
     """Each row of lw exponentiated with its top weight shifted to 1, the
-    row totals, and which rows collapsed.  A NaN mass is not a collapse."""
+    row totals, and which rows collapsed.  The shift cancels downstream and
+    keeps exp() from underflowing.  A NaN mass is not a collapse."""
     w = np.exp(lw - lw.max(axis=-1, keepdims=True))
     total = w.sum(axis=-1)
     return w, total, total - 1.0 < _MIN_EFFECTIVE_WEIGHT
-
-
-def weights_from_log(lw, *, point=None) -> np.ndarray:
-    """Exponentiate log weights, shifted so the largest weight is 1.
-
-    The shift is exact for every statistic downstream (weights enter
-    only through ratios) and keeps exp() away from underflow.  If the
-    remaining weights carry less than 1e-12 of combined mass, the
-    weighted sample has degenerated to a single row and the covariance
-    would be meaningless.
-    """
-    w, total, collapsed = _weights(np.asarray(lw, dtype=np.float64)[None])
-    if collapsed[0]:
-        raise WeightCollapseError(point, float(total[0] - 1.0))
-    return w[0]
 
 
 def dependence_coefficients(cov) -> np.ndarray:

@@ -1,7 +1,9 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -9,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wica_lab
 from wica_lab.cli import build_parser, main
 from wica_lab.core import load_csv, normalize_componentwise
 from wica_lab.datagen import KINDS, resolve_params
 from wica_lab.errors import FileFormatError
-from wica_lab.metrics import load_report
 from wica_lab.mixer import load_pipeline
 from wica_lab.trainer import load_model
 
@@ -183,39 +185,58 @@ def test_invalid_config_json_exits_2(tmp_path, monkeypatch):
 
 
 # at least one case per subcommand: a value its option's parser cannot read
-# exactly, a value out of range, or a key no option table declares
+# exactly, a value out of range, or a key no option table declares; the last
+# field is what the error line must say
+_GRID = ["--config", "cfg.json", "--out-dir", "grid"]
 _MALFORMED = [
-    ("generate", ["--config", "cfg.json"], {"d": "two"}, None, "sources.csv"),
-    ("generate", ["--config", "cfg.json"], {"n": 64.5, "d": 2.9}, None, "sources.csv"),
-    ("mix", ["--data", "data.csv", "--seed", "-1"], None, None, "mixed.csv"),
+    ("generate", ["--config", "cfg.json"], {"d": "two"}, None, "sources.csv", "d: expected"),
+    ("generate", ["--config", "cfg.json"], {"n": 64.5, "d": 2.9}, None, "sources.csv",
+     "d: expected"),
+    ("mix", ["--data", "data.csv", "--seed", "-1"], None, None, "mixed.csv", "seed must be"),
     ("unmix-exact", ["--data", "data.csv", "--config", "cfg.json"], {"pipeline": 5}, None,
-     "recovered.csv"),
+     "recovered.csv", "pipeline: expected"),
     ("train", ["--data", "data.csv", "--steps", "1", "--config", "cfg.json"],
-     {"hidden_sizes": "a,b"}, None, "model.json"),
-    ("encode", ["--data", "data.csv", "--config", "cfg.json"], {"model": 3}, None, "encoded.csv"),
+     {"hidden_sizes": "a,b"}, None, "model.json", "hidden_sizes: expected"),
+    ("encode", ["--data", "data.csv", "--config", "cfg.json"], {"model": 3}, None, "encoded.csv",
+     "model: expected"),
     ("score", ["data.csv", "data.csv", "--config", "cfg.json"], {"matrices": "no"}, None,
-     "report.json"),
-    ("wii", ["--data", "data.csv", "--config", "cfg.json"], {"num_points": 1.5}, None, "wii.json"),
-    ("bench", ["--config", "cfg.json", "--out-dir", "grid"], {"train": {"stepz": 2}}, None,
-     "grid/summary.csv"),
-    ("bench", ["--out-dir", "grid"], None, "abc", "grid/summary.csv"),
-    ("plot-data", ["--data", "data.csv", "--cols", "0"], None, None, "plots/scatter.csv"),
+     "report.json", "matrices: expected"),
+    ("wii", ["--data", "data.csv", "--config", "cfg.json"], {"num_points": 1.5}, None, "wii.json",
+     "num_points: expected"),
+    ("bench", _GRID, {"train": {"stepz": 2}}, None, "grid/summary.csv", "train: unknown key"),
+    ("bench", ["--out-dir", "grid"], None, "abc", "grid/summary.csv", "WICA_LAB_THREADS: expected"),
+    ("plot-data", ["--data", "data.csv", "--cols", "0"], None, None, "plots/scatter.csv",
+     "cols must be"),
     ("generate", ["--kind", "sine_mixture", "--params", '{"t_max": "x"}'], None, None,
-     "sources.csv"),
+     "sources.csv", "t_max: expected"),
     ("generate", ["--kind", "sine_mixture", "--params", '{"tmax": 5}'], None, None,
-     "sources.csv"),
-    ("generate", ["--kind", "uniform", "--params", '{"t_max": 5}'], None, None, "sources.csv"),
+     "sources.csv", "unknown key 'tmax'"),
+    ("generate", ["--kind", "uniform", "--params", '{"t_max": 5}'], None, None, "sources.csv",
+     "unknown key 't_max'"),
     ("generate", ["--kind", "sine_mixture", "--params", '{"omega_min": 5, "omega_max": 1}'],
-     None, None, "sources.csv"),
-    ("bench", ["--config", "cfg.json", "--out-dir", "grid"], {"source_params": {"t_max": "x"}},
-     None, "grid/summary.csv"),
+     None, None, "sources.csv", "omega_min 5.0 exceeds"),
+    ("bench", _GRID, {"source_params": {"t_max": "x"}}, None, "grid/summary.csv",
+     "t_max: expected"),
+    # the grid is checked before any cell runs
+    ("bench", _GRID, {"dims": [2, 2]}, None, "grid/summary.csv", "dims: repeats a value"),
+    ("bench", _GRID, {"mixes": [5, 5]}, None, "grid/summary.csv", "mixes: repeats a value"),
+    ("bench", _GRID, {"seeds": [0, 0, 1]}, None, "grid/summary.csv", "seeds: repeats a value"),
+    ("bench", _GRID, {"dims": [1]}, None, "grid/summary.csv", "dims: must be >= 2"),
+    ("bench", _GRID, {"mixes": [0]}, None, "grid/summary.csv", "mixes: must be >= 1"),
+    ("bench", _GRID, {"seeds": [-1]}, None, "grid/summary.csv", "seeds: must be >= 0"),
+    ("bench", _GRID, {"n": 1}, None, "grid/summary.csv", "n: must be >= 2"),
+    ("bench", _GRID, {"source_seed": -1}, None, "grid/summary.csv", "source_seed: must be >= 0"),
+    ("bench", _GRID, {"mix_seed": -1}, None, "grid/summary.csv", "mix_seed: must be >= 0"),
+    ("bench", _GRID, {"mix_hidden": 0}, None, "grid/summary.csv", "mix_hidden: must be >= 1"),
+    ("bench", ["--out-dir", "grid", "--threads", "-1"], None, None, "grid/summary.csv",
+     "threads: must be >= 1"),
 ]
 
 
-@pytest.mark.parametrize("command,argv,config,threads_env,primary", _MALFORMED,
+@pytest.mark.parametrize("command,argv,config,threads_env,primary,message", _MALFORMED,
                          ids=[case[0] for case in _MALFORMED])
 def test_malformed_option_exits_2(tmp_path, monkeypatch, capsys, command, argv, config,
-                                  threads_env, primary):
+                                  threads_env, primary, message):
     monkeypatch.chdir(tmp_path)
     _generate("data.csv", n=64)
     if config is not None:
@@ -226,7 +247,8 @@ def test_malformed_option_exits_2(tmp_path, monkeypatch, capsys, command, argv, 
         monkeypatch.setenv("WICA_LAB_THREADS", threads_env)
     capsys.readouterr()
     assert main([command, *argv]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
     assert not (tmp_path / primary).exists()
 
 
@@ -285,10 +307,6 @@ _NOT_AN_OBJECT = "[1, 2]\n"
 
 
 @pytest.mark.parametrize("load,text", [
-    (load_report, _NOT_AN_OBJECT),
-    (load_report, '{"ots": 1.0, "max_corr": 1.0, "assignment_ots": [0, 1]}\n'),
-    (load_report, '{"ots": 1.0, "max_corr": 1.0, "assignment_ots": 5, '
-                  '"assignment_max_corr": [0, 1]}\n'),
     (load_pipeline, _NOT_AN_OBJECT),
     (load_pipeline, '{"d": 2, "seed": 0}\n'),
     (load_pipeline, '{"d": 2, "seed": 0, "stages": [{"q": [[1, 0], [0, 1]], "parity": "odd"}]}\n'),
@@ -421,7 +439,23 @@ def test_bench_thread_env_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("WICA_LAB_THREADS", "1")
     config = {**_SMALL_BENCH, "dims": [2], "seeds": [0]}
     (tmp_path / "bench.json").write_text(json.dumps(config) + "\n")
-    # the cap forces the sequential path; the run must still succeed
+    # the cap leaves one worker; the run must still succeed
     assert main(["bench", "--config", "bench.json", "--out-dir", "grid",
                  "--threads", "8"]) == 0
     assert (tmp_path / "grid" / "summary.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# export lists
+
+
+@pytest.mark.parametrize("module", [
+    "wica_lab", *(f"wica_lab.{m.name}" for m in pkgutil.iter_modules(wica_lab.__path__)),
+])
+def test_every_exported_name_resolves(module):
+    """A stale __all__ entry breaks `from module import *`."""
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    namespace: dict = {}
+    exec(f"from {module} import *", namespace)
+    assert set(mod.__all__) <= set(namespace)

@@ -5,18 +5,18 @@ import hashlib
 import numpy as np
 import pytest
 
+from wica_lab.cli import _load_dataset
 from wica_lab.core import (
-    Dataset,
     RngStream,
     average_ranks,
     load_csv,
     normalize_componentwise,
     pearson_corr_matrix,
-    polar_orthogonal,
     sample_haar_orthogonal,
     save_csv,
     weighted_cov,
     weighted_mean,
+    _jacobi_svd,
 )
 from wica_lab.errors import (
     DegenerateColumnError,
@@ -236,15 +236,14 @@ def test_average_ranks_match_loop_oracle_bit_for_bit():
 def test_polar_orthogonal_is_orthogonal():
     g = RngStream(15).split("po").generator()
     for d in (2, 3, 5, 8):
-        q = polar_orthogonal(g.standard_normal((d, d)))
+        q = sample_haar_orthogonal(d, g)
         assert np.max(np.abs(q.T @ q - np.eye(d))) < 1e-12
 
 
 def test_polar_orthogonal_of_orthogonal_is_itself():
-    g = RngStream(16).split("po2").generator()
     q0 = sample_haar_orthogonal(4, RngStream(17))
-    assert np.max(np.abs(polar_orthogonal(q0) - q0)) < 1e-12
-    del g
+    u, _, v = _jacobi_svd(q0)
+    assert np.max(np.abs(u @ v.T - q0)) < 1e-12
 
 
 def test_haar_requires_d_at_least_two():
@@ -333,7 +332,10 @@ def test_dataset_load_save(tmp_path):
     x = g.standard_normal((10, 2))
     path = tmp_path / "d.csv"
     save_csv(path, x)
-    assert np.array_equal(Dataset.load(path).x, x)
+    assert np.array_equal(_load_dataset(path), x)
+    save_csv(path, x[:, :1])
+    with pytest.raises(DimensionError, match="dataset needs at least 2 columns, got 1"):
+        _load_dataset(path)
 
 
 def test_csv_rejects_malformed_rows(tmp_path):

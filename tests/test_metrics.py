@@ -1,6 +1,7 @@
 """Assignment solver and the two permutation-matched recovery scores."""
 
 import itertools
+import json
 import time
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from wica_lab.core import RngStream, pearson_corr_matrix
 from wica_lab.errors import DegenerateColumnError, DimensionError, NonFiniteError
 from wica_lab.metrics import (
     ScoreReport,
-    load_report,
     max_corr,
     ots,
     report_to_json,
@@ -292,13 +292,14 @@ def test_report_json_round_trip(tmp_path):
     rep = score(z, s)
     path = tmp_path / "report.json"
     save_report(path, rep, matrices=True)
-    back = load_report(path)
-    assert back.ots == rep.ots
-    assert back.max_corr == rep.max_corr
-    assert back.assignment_ots == rep.assignment_ots
-    assert np.array_equal(back.spearman_matrix, rep.spearman_matrix)
+    text = path.read_text()
+    back = json.loads(text)
+    assert back["ots"] == rep.ots
+    assert back["max_corr"] == rep.max_corr
+    assert tuple(back["assignment_ots"]) == rep.assignment_ots
+    assert np.array_equal(np.array(back["spearman_matrix"]), rep.spearman_matrix)
     # serialization itself is deterministic
-    assert report_to_json(back, matrices=True) == report_to_json(rep, matrices=True)
+    assert json.dumps(back, sort_keys=True) + "\n" == text == report_to_json(rep, matrices=True)
 
 
 def test_report_without_matrices(tmp_path):
@@ -308,9 +309,9 @@ def test_report_without_matrices(tmp_path):
     rep = score(z, s)
     path = tmp_path / "lean.json"
     save_report(path, rep, matrices=False)
-    back = load_report(path)
-    assert back.ots == rep.ots
-    assert np.all(np.isnan(back.spearman_matrix))
+    back = json.loads(path.read_text())
+    assert back["ots"] == rep.ots
+    assert sorted(back) == ["assignment_max_corr", "assignment_ots", "max_corr", "ots"]
 
 
 def test_score_report_validates_permutations():

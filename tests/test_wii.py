@@ -19,14 +19,14 @@ from wica_lab.wii import (
     WiiConfig,
     concentration,
     dependence_coefficients,
-    gaussian_log_weights,
     sample_weighting_points,
-    weights_from_log,
     wii_at_point,
     wii_index,
     wii_multi,
+    _log_weights,
     _points_backward,
     _points_forward,
+    _weights,
 )
 
 from oracles import load_record, loop_point_index, quadrature_P
@@ -40,7 +40,7 @@ DATA = Path(__file__).parent / "data"
 
 def test_log_weights_at_the_point_are_zero():
     y = np.array([[1.0, -2.0], [0.0, 0.0]])
-    lw = gaussian_log_weights(y, np.array([1.0, -2.0]))
+    lw = _log_weights(y, np.array([[1.0, -2.0]]))[0]
     assert lw[0] == 0.0
     assert abs(lw[1] - (-2.5)) < 1e-15  # -(1+4)/2
 
@@ -49,7 +49,7 @@ def test_log_weights_monotone_in_distance():
     g = RngStream(3).split("lw").generator()
     y = g.standard_normal((100, 3))
     p = np.zeros(3)
-    lw = gaussian_log_weights(y, p)
+    lw = _log_weights(y, p[None])[0]
     dist = np.sum(y**2, axis=1)
     order = np.argsort(dist)
     assert np.all(np.diff(lw[order]) <= 1e-15)
@@ -58,23 +58,28 @@ def test_log_weights_monotone_in_distance():
 def test_weights_from_log_shift_invariance():
     # adding a constant to every log-weight must not change the weights
     lw = np.array([-1.0, -2.0, -3.5])
-    w1 = weights_from_log(lw)
-    w2 = weights_from_log(lw - 500.0)
+    w1 = _weights(lw[None])[0][0]
+    w2 = _weights((lw - 500.0)[None])[0][0]
     assert np.max(np.abs(w1 - w2)) < 1e-15
 
 
 def test_weights_from_log_survives_huge_negative_logs():
     # raw exp would underflow to all zeros; the max shift keeps one weight at 1
     lw = np.array([-50000.0, -50001.0, -50002.0])
-    w = weights_from_log(lw)
+    w, _, collapsed = _weights(lw[None])
+    assert not collapsed[0]
+    w = w[0]
     assert w.max() == 1.0
     assert np.all(w > 0.0)
 
 
 def test_weight_collapse_raises_with_context():
-    lw = np.array([0.0, -800.0, -900.0])
+    # log weights 0, -800 and -882 at the point: all mass on the first row
+    p = np.array([4.0, 4.0])
+    y = np.array([[4.0, 4.0], [44.0, 4.0], [4.0, -38.0]])
     with pytest.raises(WeightCollapseError) as err:
-        weights_from_log(lw, point=np.array([4.0, 4.0]))
+        wii_at_point(y, p)
+    assert np.array_equal(err.value.point, p)
     assert err.value.effective_mass < 1e-12
 
 
@@ -242,7 +247,7 @@ def test_wii_multi_raises_when_every_point_collapses():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("call", [wii_at_point, gaussian_log_weights, lambda y, p: wii_multi(y, [p])])
+@pytest.mark.parametrize("call", [wii_at_point, lambda y, p: wii_multi(y, [p])])
 def test_non_finite_weighting_point_is_rejected(call, bad):
     y = RngStream(40).split("nan").generator().standard_normal((100, 2))
     with pytest.raises(NonFiniteError):
