@@ -307,7 +307,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     env_cap = os.environ.get("WICA_LAB_THREADS")
     threads = cfg["threads"]
     if env_cap is not None:
-        threads = min(threads, max(1, _parse("WICA_LAB_THREADS", _int, env_cap)))
+        threads = min(threads, _parse("WICA_LAB_THREADS", _at_least(_int, 1), env_cap))
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 

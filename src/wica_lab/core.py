@@ -214,52 +214,78 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Rotates column pairs of a working copy until all pairs are mutually
     orthogonal, accumulating the rotations in v.  Quadratic convergence
     makes the sweep cap generous for any dimension this package meets.
+
+    u sits on top of v in one (2d x d) array, so that one rotation updates
+    both.  The dots run on length-d column views of stride d: ndarray.dot
+    and @ both hand such vectors to BLAS ddot with that stride, as on a
+    (d x d) u.  A dot on contiguous rows takes another ddot kernel, which
+    rounds differently.  The scalar step runs on Python floats, whose IEEE
+    results equal numpy's; the rotation runs as six ufuncs whose scalar
+    operands are 0-d arrays, which numpy dispatches faster than floats.
     """
-    u = np.array(a, dtype=np.float64, copy=True)
-    d = u.shape[0]
-    v = np.eye(d)
+    d = a.shape[0]
+    w = np.empty((2 * d, d))
+    w[:d] = a
+    w[d:] = np.eye(d)
+    top = [w[:d, j] for j in range(d)]
+    col = [w[:, j] for j in range(d)]
+    cp, sp = np.empty(2 * d), np.empty(2 * d)
+    c, s = np.empty(()), np.empty(())
+    multiply, subtract, add = np.multiply, np.subtract, np.add
+    sqrt, copysign, isfinite = math.sqrt, math.copysign, math.isfinite
     for _ in range(_JACOBI_SWEEPS):
         off = 0.0
         for p in range(d - 1):
+            up, wp = top[p], col[p]
             for q in range(p + 1, d):
-                app = u[:, p] @ u[:, p]
-                aqq = u[:, q] @ u[:, q]
-                apq = u[:, p] @ u[:, q]
-                denom = np.sqrt(app * aqq)
-                if denom == 0.0 or not np.isfinite(denom):
+                uq = top[q]
+                app = float(up.dot(up))
+                aqq = float(uq.dot(uq))
+                apq = float(up.dot(uq))
+                denom = sqrt(app * aqq)
+                if denom == 0.0 or not isfinite(denom):
                     raise NumericalError("rank-deficient matrix in Jacobi sweep")
                 ratio = abs(apq) / denom
-                off = max(off, ratio)
+                if ratio > off:
+                    off = ratio
                 if ratio <= _JACOBI_TOL:
                     continue
                 zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
                 if zeta == 0.0:
                     t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                up = u[:, p].copy()
-                u[:, p] = c * up - s * u[:, q]
-                u[:, q] = s * up + c * u[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
+                else:
+                    t = copysign(1.0, zeta) / (abs(zeta) + sqrt(1.0 + zeta * zeta))
+                cos = 1.0 / sqrt(1.0 + t * t)
+                c[()], s[()] = cos, cos * t
+                # p <- c*p - s*q and q <- s*p + c*q, each product rounded on
+                # its own as in c * up - s * uq
+                wq = col[q]
+                multiply(c, wp, out=cp)
+                multiply(s, wp, out=sp)
+                multiply(s, wq, out=wp)
+                subtract(cp, wp, out=wp)
+                multiply(c, wq, out=wq)
+                add(sp, wq, out=wq)
         if off <= _JACOBI_TOL:
             break
     else:
         raise NumericalError("Jacobi SVD did not converge")
+    u = w[:d]
     sigma = np.sqrt(np.einsum("ij,ij->j", u, u))
     if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
         raise NumericalError("singular values collapsed in Jacobi SVD")
-    return u / sigma, sigma, v
+    return u / sigma, sigma, w[d:]
 
 
 def sample_haar_orthogonal(d: int, rng: "RngStream | np.random.Generator") -> np.ndarray:
     """Draw a d x d orthogonal matrix from the Haar measure.
 
     The polar factor of a Gaussian matrix is Haar-distributed; the factor
-    comes from the in-house Jacobi SVD so draws stay identical across
-    numpy releases.
+    comes from the in-house Jacobi SVD, so draws do not depend on LAPACK.
+    They do depend on BLAS: the SVD's dots are ddot calls on strided
+    columns, and about 6 in 10 of those differ in the last bit from a
+    sequential sum at d from 4 to 32.  A draw repeats bit for bit under
+    the same numpy and BLAS build, not across builds or kernels.
     """
     if d < 2:
         raise DimensionError(f"dimension must be at least 2, got {d}")

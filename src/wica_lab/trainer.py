@@ -241,22 +241,19 @@ def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.nd
 
     Without one, each layer's output is freed as soon as the next exists,
     and an input of at least two blocks runs block by block into one
-    output array, so a pass holds two block-sized layer outputs.  A block
-    has _BLOCK_ELEMENTS // max(m.sizes) rows (4096 at width 128) and the
-    remainder joins the last block.  Rows of a gemm do not depend on each
-    other, so the bytes are those of one call, as long as every call runs
-    the same BLAS kernel: OpenBLAS takes a small-matrix kernel for
-    M*N*K < 1e6, which the d=2 output layer (M x 128)(128 x 2) reaches
-    below 3907 rows, and no block is that small.
+    output array.  A block has _BLOCK_ELEMENTS // max(m.sizes) rows (4096
+    at width 128) and the remainder joins the last block.  The hidden
+    layers of every block write into the same two buffers, allocated once
+    per pass, and the output layer writes into the output array.  Rows of
+    a gemm do not depend on each other, so the bytes are those of one
+    call, as long as every call runs the same BLAS kernel: OpenBLAS takes
+    a small-matrix kernel for M*N*K < 1e6, which the d=2 output layer
+    (M x 128)(128 x 2) reaches below 3907 rows, and no block is that small.
     """
     rows = _BLOCK_ELEMENTS // max(m.sizes)
     n = x.shape[0]
     if acts is None and n >= 2 * rows > 0:
-        out = np.empty((n, m.out_size))
-        starts = range(0, n - rows + 1, rows)
-        for start, stop in zip(starts, [*starts[1:], n]):
-            out[start:stop] = _mlp_forward(m, x[start:stop])
-        return out
+        return _mlp_forward_blocked(m, x, rows)
     if acts is not None:
         acts.append(x)
     a = x
@@ -270,6 +267,29 @@ def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.nd
         if acts is not None:
             acts.append(a)
     return a
+
+
+def _mlp_forward_blocked(m: MlpParams, x: np.ndarray, rows: int) -> np.ndarray:
+    """_mlp_forward over blocks of rows (the last takes the remainder),
+    each layer in the same order of operations as the one-call path."""
+    n = x.shape[0]
+    out = np.empty((n, m.out_size))
+    starts = range(0, n - rows + 1, rows)
+    widest = (n - starts[-1]) * max(m.sizes[1:-1], default=0)
+    bufs = (np.empty(widest), np.empty(widest))
+    last = len(m.weights) - 1
+    for start, stop in zip(starts, [*starts[1:], n]):
+        a = x[start:stop]
+        for l, (w, b) in enumerate(zip(m.weights, m.biases)):
+            if l == last:
+                dest = out[start:stop]
+            else:
+                dest = bufs[l % 2][:(stop - start) * w.shape[1]].reshape(stop - start, -1)
+            a = np.matmul(a, w, out=dest)
+            a += b
+            if l < last:
+                np.tanh(a, out=a)
+    return out
 
 
 def mlp_forward(m: MlpParams, x, *, return_activations: bool = False):

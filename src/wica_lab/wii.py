@@ -198,11 +198,11 @@ def sample_weighting_points(y, num_points: int, rng: RngStream) -> np.ndarray:
             f"need at least d={d} rows to build a weighting point, got {n}"
         )
     gen = rng.generator()
-    points = np.empty((num_points, d))
+    rows = np.empty((num_points, d), dtype=np.intp)
     for k in range(num_points):
-        rows = gen.choice(n, size=d, replace=False)
-        points[k] = y[rows].mean(axis=0)
-    return points
+        rows[k] = gen.choice(n, size=d, replace=False)
+    # what y[rows[k]].mean(axis=0) computes for each point, in one call
+    return np.add.reduce(y[rows], axis=1) / d
 
 
 def wii_multi(y, points) -> float:

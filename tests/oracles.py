@@ -30,6 +30,8 @@ __all__ = [
     "loop_average_ranks",
     "rowwise_assignment",
     "loop_point_index",
+    "loop_weighting_points",
+    "loop_jacobi_svd",
     "fd_gradient",
     "fd_jacobian",
     "model_param_vector",
@@ -216,8 +218,9 @@ def rowwise_assignment(cost) -> tuple[np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
-# the index one point at a time: the package's earlier per-point loop, kept
-# as the reference for the batched kernel in wii.py
+# the index and its weighting points one point at a time: the package's
+# earlier per-point loops, kept as the references for the batched code in
+# wii.py
 
 
 def loop_point_index(y, points, coef: float = 1.0):
@@ -266,6 +269,65 @@ def loop_point_index(y, points, coef: float = 1.0):
         grad = d_centered - np.outer(w, h) / total - (w * d_w)[:, None] * diff
         d_y += coef * grad
     return values, live, d_y, collapse
+
+
+def loop_weighting_points(y, num_points: int, rng) -> np.ndarray:
+    """Weighting points as means of d distinct rows of y, one point at a
+    time: the package's earlier sampling loop.  rng is an RngStream."""
+    y = np.asarray(y, dtype=np.float64)
+    n, d = y.shape
+    gen = rng.generator()
+    points = np.empty((num_points, d))
+    for k in range(num_points):
+        rows = gen.choice(n, size=d, replace=False)
+        points[k] = y[rows].mean(axis=0)
+    return points
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi SVD on numpy scalars and slice copies: the package's earlier
+# loop, kept as the reference that core._jacobi_svd must match bit for bit
+
+
+def loop_jacobi_svd(a):
+    """One-sided Jacobi SVD of a square matrix: a = u * diag(s) @ v.T."""
+    u = np.array(a, dtype=np.float64, copy=True)
+    d = u.shape[0]
+    v = np.eye(d)
+    for _ in range(60):
+        off = 0.0
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                app = u[:, p] @ u[:, p]
+                aqq = u[:, q] @ u[:, q]
+                apq = u[:, p] @ u[:, q]
+                denom = np.sqrt(app * aqq)
+                if denom == 0.0 or not np.isfinite(denom):
+                    raise NumericalError("rank-deficient matrix in Jacobi sweep")
+                ratio = abs(apq) / denom
+                off = max(off, ratio)
+                if ratio <= 1e-14:
+                    continue
+                zeta = (aqq - app) / (2.0 * apq)
+                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                if zeta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                up = u[:, p].copy()
+                u[:, p] = c * up - s * u[:, q]
+                u[:, q] = s * up + c * u[:, q]
+                vp = v[:, p].copy()
+                v[:, p] = c * vp - s * v[:, q]
+                v[:, q] = s * vp + c * v[:, q]
+        if off <= 1e-14:
+            break
+    else:
+        raise NumericalError("Jacobi SVD did not converge")
+    sigma = np.sqrt(np.einsum("ij,ij->j", u, u))
+    if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
+        raise NumericalError("singular values collapsed in Jacobi SVD")
+    return u / sigma, sigma, v
 
 
 # ---------------------------------------------------------------------------

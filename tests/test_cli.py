@@ -205,6 +205,10 @@ _MALFORMED = [
      "num_points: expected"),
     ("bench", _GRID, {"train": {"stepz": 2}}, None, "grid/summary.csv", "train: unknown key"),
     ("bench", ["--out-dir", "grid"], None, "abc", "grid/summary.csv", "WICA_LAB_THREADS: expected"),
+    ("bench", ["--out-dir", "grid"], None, "0", "grid/summary.csv",
+     "WICA_LAB_THREADS: must be >= 1, got 0"),
+    ("bench", ["--out-dir", "grid"], None, "-3", "grid/summary.csv",
+     "WICA_LAB_THREADS: must be >= 1, got -3"),
     ("plot-data", ["--data", "data.csv", "--cols", "0"], None, None, "plots/scatter.csv",
      "cols must be"),
     ("generate", ["--kind", "sine_mixture", "--params", '{"t_max": "x"}'], None, None,

@@ -23,6 +23,7 @@ from wica_lab.errors import (
     DegenerateWeightsError,
     DimensionError,
     FileFormatError,
+    NumericalError,
 )
 from wica_lab.metrics import spearman_distance_matrix
 
@@ -30,6 +31,7 @@ from oracles import (
     csv_writer_save_csv,
     ks_statistic,
     loop_average_ranks,
+    loop_jacobi_svd,
     loop_weighted_cov,
     loop_weighted_mean,
 )
@@ -244,6 +246,39 @@ def test_polar_orthogonal_of_orthogonal_is_itself():
     q0 = sample_haar_orthogonal(4, RngStream(17))
     u, _, v = _jacobi_svd(q0)
     assert np.max(np.abs(u @ v.T - q0)) < 1e-12
+
+
+def _jacobi_cases():
+    for d in (2, 3, 4, 5, 8, 16, 24, 32):
+        for seed in range(8):
+            yield RngStream(seed).split(f"jacobi{d}").generator().standard_normal((d, d))
+    yield sample_haar_orthogonal(6, RngStream(19))
+
+
+def test_jacobi_svd_equals_the_scalar_loop_bit_for_bit():
+    """Same dots on the same strided columns, same scalar step, same
+    rotation order: u, s and v equal the earlier loop's, and the input is
+    not written."""
+    for a in _jacobi_cases():
+        before = a.copy()
+        got = _jacobi_svd(a)
+        assert np.array_equal(a, before)
+        for x, y in zip(got, loop_jacobi_svd(a)):
+            assert np.array_equal(x, y), a.shape
+
+
+@pytest.mark.parametrize("bad", ["zero_column", "nan"])
+def test_jacobi_svd_rejects_what_the_scalar_loop_rejects(bad):
+    a = RngStream(20).split("bad").generator().standard_normal((5, 5))
+    if bad == "zero_column":
+        a[:, 2] = 0.0
+    else:
+        a[3, 1] = np.nan
+    with pytest.raises(NumericalError) as want:
+        loop_jacobi_svd(a)
+    with pytest.raises(NumericalError) as got:
+        _jacobi_svd(a)
+    assert str(got.value) == str(want.value) == "rank-deficient matrix in Jacobi sweep"
 
 
 def test_haar_requires_d_at_least_two():

@@ -29,7 +29,7 @@ from wica_lab.wii import (
     _weights,
 )
 
-from oracles import load_record, loop_point_index, quadrature_P
+from oracles import load_record, loop_point_index, loop_weighting_points, quadrature_P
 
 DATA = Path(__file__).parent / "data"
 
@@ -221,6 +221,17 @@ def test_sample_weighting_points_shape_and_determinism():
     assert len(pts1) == 4
     assert all(p.shape == (3,) for p in pts1)
     assert all(np.array_equal(a, b) for a, b in zip(pts1, pts2))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 32])
+def test_sample_weighting_points_equal_the_point_loop(d):
+    """One gather and one reduce give the bytes of the per-point
+    y[rows].mean(axis=0), from the same draws in the same order."""
+    for seed in range(20):
+        y = RngStream(seed).split("y").generator().standard_normal((256, d))
+        got = sample_weighting_points(y, 16, RngStream(seed).split("p"))
+        want = loop_weighting_points(y, 16, RngStream(seed).split("p"))
+        assert got.tobytes() == want.tobytes(), (d, seed)
 
 
 def test_sample_weighting_points_needs_enough_rows():
