@@ -82,8 +82,8 @@ def as_weights(w, n: int) -> np.ndarray:
 def weighted_mean(x, w) -> np.ndarray:
     """Weight-normalized mean of the rows of x."""
     x = as_data(x)
-    w = as_weights(w, x.shape[0])
-    return (w @ x) / w.sum()
+    w = as_weights(w, x.shape[0])[None]
+    return _weighted_moments(x, w, w.sum(axis=1))[0][0]
 
 
 def weighted_cov(x, w) -> np.ndarray:
@@ -93,10 +93,20 @@ def weighted_cov(x, w) -> np.ndarray:
     a two-row sample [[0], [2]] with equal weights has variance 1.
     """
     x = as_data(x)
-    w = as_weights(w, x.shape[0])
-    s = w.sum()
-    centered = x - (w @ x) / s
-    return (centered.T * w) @ centered / s
+    w = as_weights(w, x.shape[0])[None]
+    return _weighted_moments(x, w, w.sum(axis=1))[2][0]
+
+
+def _weighted_moments(y: np.ndarray, w: np.ndarray, total: np.ndarray):
+    """Unchecked (K, d) means, (K, n, d) centred rows and (K, d, d)
+    covariances of y (n, d) under each row of the weights w (K, n), whose
+    row sums are total.  Each row's products are matmul calls of its own,
+    so its moments are the same bytes in any stack, one-row included."""
+    scale = total[:, None, None]
+    means = np.matmul(w[:, None, :], y) / scale
+    centered = y - means
+    cov = np.matmul(centered.transpose(0, 2, 1) * w[:, None, :], centered) / scale
+    return means[:, 0], centered, cov
 
 
 _NORMALIZE_FLOOR = 1e-8
@@ -277,7 +287,7 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u / sigma, sigma, w[d:]
 
 
-def sample_haar_orthogonal(d: int, rng: "RngStream | np.random.Generator") -> np.ndarray:
+def sample_haar_orthogonal(d: int, rng: RngStream) -> np.ndarray:
     """Draw a d x d orthogonal matrix from the Haar measure.
 
     The polar factor of a Gaussian matrix is Haar-distributed; the factor
@@ -289,8 +299,7 @@ def sample_haar_orthogonal(d: int, rng: "RngStream | np.random.Generator") -> np
     """
     if d < 2:
         raise DimensionError(f"dimension must be at least 2, got {d}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    u, _, v = _jacobi_svd(gen.standard_normal((d, d)))
+    u, _, v = _jacobi_svd(rng.generator().standard_normal((d, d)))
     return u @ v.T
 
 

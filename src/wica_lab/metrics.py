@@ -44,12 +44,18 @@ def _rank_columns(x: np.ndarray) -> np.ndarray:
     return np.column_stack([average_ranks(x[:, j]) for j in range(x.shape[1])])
 
 
-def spearman_distance_matrix(z, s) -> np.ndarray:
-    """M[j, k] = 1 - |spearman(z column j, s column k)|, each in [0, 1]."""
-    z = as_data(z, min_cols=1, name="retrieved signals")
-    s = as_data(s, min_cols=1, name="sources")
+def _signals_and_sources(z, s, min_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """z and s checked as data matrices of one shape."""
+    z = as_data(z, min_cols=min_cols, name="retrieved signals")
+    s = as_data(s, min_cols=min_cols, name="sources")
     if z.shape != s.shape:
         raise DimensionError(f"shape mismatch: {z.shape} vs {s.shape}")
+    return z, s
+
+
+def spearman_distance_matrix(z, s) -> np.ndarray:
+    """M[j, k] = 1 - |spearman(z column j, s column k)|, each in [0, 1]."""
+    z, s = _signals_and_sources(z, s, 1)
     r = pearson_corr_matrix(_rank_columns(z), _rank_columns(s))
     return 1.0 - np.abs(r)
 
@@ -177,10 +183,7 @@ def ots(z, s) -> tuple[float, np.ndarray]:
 
 def max_corr(z, s) -> tuple[float, np.ndarray]:
     """Assignment-maximized mean |Pearson| between matched columns."""
-    z = as_data(z, min_cols=1, name="retrieved signals")
-    s = as_data(s, min_cols=1, name="sources")
-    if z.shape != s.shape:
-        raise DimensionError(f"shape mismatch: {z.shape} vs {s.shape}")
+    z, s = _signals_and_sources(z, s, 1)
     return _max_corr_of(pearson_corr_matrix(z, s))
 
 
@@ -222,10 +225,7 @@ class ScoreReport:
 
 def score(z, s) -> ScoreReport:
     """Assemble both measures against the true sources."""
-    z = as_data(z, min_cols=2, name="retrieved signals")
-    s = as_data(s, min_cols=2, name="sources")
-    if z.shape != s.shape:
-        raise DimensionError(f"shape mismatch: {z.shape} vs {s.shape}")
+    z, s = _signals_and_sources(z, s, 2)
     rank_corr = pearson_corr_matrix(_rank_columns(z), _rank_columns(s))
     pearson = pearson_corr_matrix(z, s)
     ots_value, ots_perm = ots(z, s)

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    RngStream, _array_from_json, _read_json_object, _require_fields, as_data,
-    sample_haar_orthogonal,
+    RngStream, _array_from_json, _at_least, _int, _parse, _read_json_object, _require_fields,
+    as_data, sample_haar_orthogonal,
 )
 from .errors import DimensionError, FileFormatError
 from .trainer import MlpParams, _mlp_forward, _mlp_from_json, _mlp_to_json, init_mlp
@@ -206,13 +206,10 @@ def save_pipeline(path, pipeline: MixingPipeline) -> None:
 
 def load_pipeline(path) -> MixingPipeline:
     doc = _read_json_object(path, ("d", "seed", "stages"))
-    d, seed, raw_stages = doc["d"], doc["seed"], doc["stages"]
-    if not isinstance(d, int) or not isinstance(seed, int):
-        raise FileFormatError(f"{path}: 'd' and 'seed' must be integers")
-    if not isinstance(raw_stages, list) or not raw_stages:
+    if not isinstance(doc["stages"], list) or not doc["stages"]:
         raise FileFormatError(f"{path}: 'stages' must be a nonempty list")
     stages = []
-    for t, raw in enumerate(raw_stages, start=1):
+    for t, raw in enumerate(doc["stages"], start=1):
         where = f"{path}: stage {t}"
         raw = _require_fields(raw, ("q", "phi", "parity"), where)
         q = _array_from_json(raw["q"], f"{where}.q", 2)
@@ -222,6 +219,7 @@ def load_pipeline(path) -> MixingPipeline:
         except DimensionError as exc:
             raise FileFormatError(f"{where}: {exc}") from None
     try:
-        return MixingPipeline(tuple(stages), d, seed)
-    except DimensionError as exc:
+        d = _parse("d", _at_least(_int, 2), doc["d"])
+        return MixingPipeline(tuple(stages), d, _parse("seed", _at_least(_int, 0), doc["seed"]))
+    except (FileFormatError, DimensionError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None

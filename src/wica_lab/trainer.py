@@ -27,15 +27,15 @@ cost_gradient returns this layout.  The one feed-forward net, MlpParams
 with init_mlp, its forward pass and its JSON layout, is also the mixer's
 coupling net.
 
-Activations are kept only for the backward pass: the forward keeps each
-layer's output when its caller collects them (the step's encoder pass
-and the cost's decoder pass) and otherwise frees it as soon as the next
-layer's output exists.  A pass that collects nothing also runs a large
-input in contiguous row blocks, 4096 rows at width 128, into one output
-array, so encoding a full sample holds two block-sized layer outputs
-rather than two sample-sized ones.  The bytes are those of one call: a
-block never drops below the row count where OpenBLAS switches to its
-small-matrix kernel (about 3907 rows for the d=2 output layer).
+Every forward pass runs one layer loop over blocks of rows.  A pass that
+keeps activations for the backward pass (the step's encoder pass and the
+cost's decoder pass) runs all rows as one block and keeps each layer's
+output.  A pass that keeps none runs 4096-row blocks at width 128
+through two buffers and into one output array, so encoding a full sample
+holds two block-sized layer outputs rather than two sample-sized ones.
+The bytes are those of one call: a block never drops below the row count
+where OpenBLAS switches to its small-matrix kernel (about 3907 rows for
+the d=2 output layer).
 
 Nothing here calls an autodiff framework; the gradient is validated
 against central finite differences in the test suite.
@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import (
     RngStream, _array_from_json, _at_least, _choice, _float, _int, _list_of, _normalize_parts,
-    _optional, _parse_fields, _read_json_object, _require_fields, as_data,
+    _optional, _parse, _parse_fields, _read_json_object, _require_fields, as_data,
 )
 from .errors import (
     DimensionError,
@@ -235,60 +235,48 @@ def init_model(d: int, hidden_sizes, rng: RngStream) -> AutoEncoderModel:
 
 
 def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.ndarray:
-    """The affine / tanh chain.  Given a list, acts collects the input and
-    each layer's output, the cache the backward pass reads (tanh' is
-    recovered as 1 - a^2), in one call over all rows.
+    """The affine / tanh chain, one layer loop over blocks of rows.
 
-    Without one, each layer's output is freed as soon as the next exists,
-    and an input of at least two blocks runs block by block into one
-    output array.  A block has _BLOCK_ELEMENTS // max(m.sizes) rows (4096
-    at width 128) and the remainder joins the last block.  The hidden
-    layers of every block write into the same two buffers, allocated once
-    per pass, and the output layer writes into the output array.  Rows of
-    a gemm do not depend on each other, so the bytes are those of one
-    call, as long as every call runs the same BLAS kernel: OpenBLAS takes
-    a small-matrix kernel for M*N*K < 1e6, which the d=2 output layer
-    (M x 128)(128 x 2) reaches below 3907 rows, and no block is that small.
+    Given a list, acts collects the input and each layer's output, the
+    cache the backward pass reads (tanh' is recovered as 1 - a^2), and
+    all rows run as one block, each layer into a fresh array.  Without
+    one, a block has _BLOCK_ELEMENTS // max(m.sizes) rows (4096 at width
+    128; one block if the width exceeds _BLOCK_ELEMENTS), the remainder
+    joins the last block, and the hidden layers of every block write into
+    the same two buffers, allocated once per pass.  Either way the output
+    layer writes into one (n, out_size) array.  Rows of a gemm do not
+    depend on each other, so the bytes are those of one call, as long as
+    every call runs the same BLAS kernel: OpenBLAS takes a small-matrix
+    kernel for M*N*K < 1e6, which the d=2 output layer (M x 128)(128 x 2)
+    reaches below 3907 rows, and no block of a larger input is that small.
     """
-    rows = _BLOCK_ELEMENTS // max(m.sizes)
     n = x.shape[0]
-    if acts is None and n >= 2 * rows > 0:
-        return _mlp_forward_blocked(m, x, rows)
-    if acts is not None:
-        acts.append(x)
-    a = x
-    last = len(m.weights) - 1
-    for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        # in place, so that a layer allocates one n x width array
-        a = a @ w
-        a += b
-        if l < last:
-            np.tanh(a, out=a)
-        if acts is not None:
-            acts.append(a)
-    return a
-
-
-def _mlp_forward_blocked(m: MlpParams, x: np.ndarray, rows: int) -> np.ndarray:
-    """_mlp_forward over blocks of rows (the last takes the remainder),
-    each layer in the same order of operations as the one-call path."""
-    n = x.shape[0]
+    rows = n if acts is not None else _BLOCK_ELEMENTS // max(m.sizes)
+    blocks = max(n // rows, 1) if rows else 1
+    edges = [k * rows for k in range(blocks)] + [n]
     out = np.empty((n, m.out_size))
-    starts = range(0, n - rows + 1, rows)
-    widest = (n - starts[-1]) * max(m.sizes[1:-1], default=0)
-    bufs = (np.empty(widest), np.empty(widest))
+    if acts is None:
+        widest = (n - edges[-2]) * max(m.sizes[1:-1], default=0)
+        bufs = (np.empty(widest), np.empty(widest))
+    else:
+        acts.append(x)
     last = len(m.weights) - 1
-    for start, stop in zip(starts, [*starts[1:], n]):
+    for start, stop in zip(edges, edges[1:]):
         a = x[start:stop]
         for l, (w, b) in enumerate(zip(m.weights, m.biases)):
             if l == last:
                 dest = out[start:stop]
+            elif acts is not None:
+                dest = np.empty((stop - start, w.shape[1]))
             else:
                 dest = bufs[l % 2][:(stop - start) * w.shape[1]].reshape(stop - start, -1)
+            # in place, so that a layer writes one block x width array
             a = np.matmul(a, w, out=dest)
             a += b
             if l < last:
                 np.tanh(a, out=a)
+            if acts is not None:
+                acts.append(a)
     return out
 
 
@@ -299,8 +287,8 @@ def mlp_forward(m: MlpParams, x, *, return_activations: bool = False):
     input and acts[l + 1] the output of layer l, the cache the backward
     pass reads.  train takes it so that a step runs its encoder once, for
     drawing the weighting points and for the cost and gradient alike.
-    Without it each layer's output is freed once the next exists, and an
-    input of at least two row blocks runs block by block (_mlp_forward).
+    Without it the rows run in blocks through two reused buffers
+    (_mlp_forward), and no layer's output is kept.
     """
     x = as_data(x, name="input")
     if x.shape[1] != m.in_size:
@@ -546,11 +534,12 @@ def load_model(path) -> tuple[AutoEncoderModel, TrainConfig]:
     encoder = _mlp_from_json(doc["encoder"], f"{path}: encoder")
     decoder = _mlp_from_json(doc["decoder"], f"{path}: decoder")
     try:
+        d = _parse("d", _at_least(_int, 2), doc["d"])
         model = AutoEncoderModel(encoder, decoder)
-    except DimensionError as exc:
+    except (FileFormatError, DimensionError) as exc:
         raise FileFormatError(f"{path}: {exc}") from None
-    if model.d != doc["d"]:
-        raise FileFormatError(f"{path}: 'd' is {doc['d']} but nets have d={model.d}")
+    if model.d != d:
+        raise FileFormatError(f"{path}: 'd' is {d} but nets have d={model.d}")
     for name, net in (("encoder", model.encoder), ("decoder", model.decoder)):
         if net.sizes[1:-1] != cfg.hidden_sizes:
             raise FileFormatError(

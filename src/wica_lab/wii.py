@@ -27,7 +27,8 @@ from typing import ClassVar
 import numpy as np
 
 from .core import (
-    RngStream, _at_least, _int, _optional, _parse_fields, as_data, normalize_componentwise,
+    RngStream, _at_least, _int, _optional, _parse_fields, _weighted_moments, as_data,
+    normalize_componentwise,
 )
 from .errors import DimensionError, InsufficientDataError, NonFiniteError, WeightCollapseError
 
@@ -128,8 +129,8 @@ def _points_forward(y: np.ndarray, points: np.ndarray):
 
     Returns the survivors' values, their indices into points and the cache
     _points_backward needs; raises the last point's WeightCollapseError if
-    every point collapses.  Each point's products are matmul calls of its
-    own, so its value is the same bytes in any stack.
+    every point collapses.  Each point's moments are matmul calls of its own
+    (_weighted_moments), so its value is the same bytes in any stack.
     """
     w, total, collapsed = _weights(_log_weights(y, points))
     if collapsed.all():
@@ -137,9 +138,7 @@ def _points_forward(y: np.ndarray, points: np.ndarray):
     live = np.flatnonzero(~collapsed)
     if len(live) < len(points):
         points, w, total = points[live], w[live], total[live]
-    scale = total[:, None, None]
-    centered = y - np.matmul(w[:, None, :], y) / scale
-    z = np.matmul(centered.transpose(0, 2, 1) * w[:, None, :], centered) / scale
+    _, centered, z = _weighted_moments(y, w, total)
     d = y.shape[1]
     # c is symmetric with zero diagonal; summing it all counts each pair twice
     values = _coefficients(z).sum(axis=(1, 2)) / (d * (d - 1))

@@ -308,6 +308,13 @@ def _load_config(path: Path) -> None:
 
 
 _NOT_AN_OBJECT = "[1, 2]\n"
+# a one-stage pipeline with its seed left open, and a linear model with its d left open
+_PIPELINE = ('{"d": 2, "seed": %s, "stages": [{"q": [[1, 0], [0, 1]], "parity": "odd", '
+             '"phi": {"w1": [[0, 0]], "b1": [0, 0], "w2": [[0, 0], [0, 0]], "b2": [0, 0], '
+             '"w3": [[0], [0]], "b3": [0]}}]}\n')
+_MODEL = ('{"d": %s, "config": {"hidden_sizes": []}, '
+          '"encoder": {"w1": [[1, 0], [0, 1]], "b1": [0, 0]}, '
+          '"decoder": {"w1": [[1, 0], [0, 1]], "b1": [0, 0]}}\n')
 
 
 @pytest.mark.parametrize("load,text", [
@@ -319,6 +326,9 @@ _NOT_AN_OBJECT = "[1, 2]\n"
     (load_pipeline, '{"d": 2, "seed": 0, "stages": [{"q": [[1, 0], [0, 1]], "parity": "odd", '
                     '"phi": {"w1": [[0, 0]], "b1": [0, 0], "w2": [[0, 0], [0, 0]], "b2": [0, 0], '
                     '"w3": [[0], [0]], "b3": [0], "w4": [[0]]}}]}\n'),
+    (load_pipeline, _PIPELINE % "true"),
+    (load_pipeline, _PIPELINE % "-5"),
+    (load_model, _MODEL % "2.0"),
     (load_model, _NOT_AN_OBJECT),
     (load_model, '{"d": 2, "config": {}, "encoder": {}}\n'),
     (load_model, '{"d": 2, "config": [], "encoder": {}, "decoder": {}}\n'),
@@ -342,6 +352,17 @@ def test_loader_rejects_malformed_json_object(tmp_path, monkeypatch, load, text)
     path.write_text(text)
     with pytest.raises(FileFormatError):
         load(path)
+
+
+def test_loaders_read_d_and_seed_as_the_option_parsers_do(tmp_path):
+    """d and seed are integers read like any integer option, a flag string
+    included, so a valid file loads and a quoted "2" reads as 2."""
+    path = tmp_path / "doc.json"
+    path.write_text(_PIPELINE % "7")
+    pipeline = load_pipeline(path)
+    assert (pipeline.d, pipeline.seed) == (2, 7)
+    path.write_text(_MODEL % '"2"')
+    assert load_model(path)[0].d == 2
 
 
 def test_readme_command_lines_parse():

@@ -236,7 +236,7 @@ def test_average_ranks_match_loop_oracle_bit_for_bit():
 
 
 def test_polar_orthogonal_is_orthogonal():
-    g = RngStream(15).split("po").generator()
+    g = RngStream(15).split("po")
     for d in (2, 3, 5, 8):
         q = sample_haar_orthogonal(d, g)
         assert np.max(np.abs(q.T @ q - np.eye(d))) < 1e-12

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wica_lab import trainer
 from wica_lab.core import RngStream
 from wica_lab.datagen import SourceSpec, generate
 from wica_lab.errors import DimensionError, FileFormatError
@@ -89,6 +90,20 @@ def test_stage_rejects_wrong_width():
     pipe = build_pipeline(4, 1, 8, RngStream(6))
     with pytest.raises(DimensionError):
         stage_forward(pipe.stages[0], np.zeros((5, 3)))
+
+
+@pytest.mark.parametrize("n", [300, 70000])
+def test_coupling_net_streams_a_column_slice_bit_for_bit(n):
+    """A stage feeds its width-16 coupling net the non-contiguous half
+    y[:, read]; the streaming forward (one block up to 65535 rows, then
+    32768-row blocks) gives the collecting pass's bytes."""
+    stage = build_pipeline(5, 1, 16, RngStream(25)).stages[0]
+    x = RngStream(26).split("x").generator().standard_normal((n, 5))
+    half = (x @ stage.q.T)[:, :3]
+    assert not half.flags.c_contiguous
+    assert trainer._mlp_forward(stage.phi, half).tobytes() == (
+        trainer._mlp_forward(stage.phi, half, []).tobytes()
+    )
 
 
 def test_odd_dimension_splits_ceil_floor():

@@ -397,15 +397,15 @@ def test_forward_pass_holds_at_most_two_layer_outputs(forward):
 
 
 @pytest.mark.parametrize("d", [2, 16])
-@pytest.mark.parametrize("n", [8191, 8192, 9000, 17618])
+@pytest.mark.parametrize("n", [1, 255, 4095, 8191, 8192, 9000, 17618])
 def test_blocked_encode_equals_one_call_bit_for_bit(d, n):
     """encode runs 4096-row blocks at width 128 once the input has two
-    blocks (8191 rows: one call; 8192 and 9000: two blocks, the second
-    taking the remainder; 17618: four).  The collecting forward is one
-    call over all rows, so it is the reference.  OpenBLAS takes a
-    small-matrix kernel when M*N*K < 1e6: below 3907 rows the d=2 output
-    layer, (M x 128)(128 x 2), rounds differently, which the 4096-row
-    floor of a block avoids."""
+    blocks (up to 8191 rows: one block through the reused buffers; 8192
+    and 9000: two blocks, the second taking the remainder; 17618: four).
+    The collecting forward is one call over all rows, so it is the
+    reference.  OpenBLAS takes a small-matrix kernel when M*N*K < 1e6:
+    below 3907 rows the d=2 output layer, (M x 128)(128 x 2), rounds
+    differently, which the 4096-row floor of a block avoids."""
     model = init_model(d, (128, 128, 128), RngStream(21).split("init"))
     x = RngStream(22).split("x").generator().standard_normal((n, d))
     assert encode(model, x).tobytes() == trainer._mlp_forward(model.encoder, x, []).tobytes()

@@ -213,6 +213,18 @@ def test_wii_at_point_is_the_one_point_kernel():
         assert wii_at_point(y, p) == _points_forward(y, p[None])[0][0]
 
 
+@pytest.mark.parametrize("d", [2, 5])
+def test_weighted_cov_is_the_kernels_covariance(d):
+    """core.weighted_cov is the index's moment kernel on a one-row weight
+    stack: under each point's Gaussian weights it gives the covariance the
+    kernel caches, bit for bit."""
+    y, points = _kernel_case(d, 2 * d)
+    w = _weights(_log_weights(y, points))[0]
+    z = _points_forward(y, points)[2][4]
+    for k in range(len(points)):
+        assert weighted_cov(y, w[k]).tobytes() == z[k].tobytes()
+
+
 def test_sample_weighting_points_shape_and_determinism():
     g = RngStream(35).split("pts").generator()
     x = g.standard_normal((50, 3))
