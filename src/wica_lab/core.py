@@ -174,10 +174,10 @@ def pearson_corr_matrix(z, s) -> np.ndarray:
 
     Every moment (means, second moments, cross moments) is a pairwise sum by
     ``np.add.reduce`` along one column, held as a contiguous row of the
-    transposed data, one row of cross products at a time.  The order is
-    fixed by n alone: entry (j, k) depends only on ``z[:, j]`` and
-    ``s[:, k]``, equals the single-column call on that pair bit for bit,
-    and no BLAS kernel takes part.  A single square root on the product of
+    transposed data; the products of one pair of rows go into one n-long
+    buffer.  The order is fixed by n alone: entry (j, k) depends only on
+    ``z[:, j]`` and ``s[:, k]``, equals the single-column call on that pair
+    bit for bit, and no BLAS kernel takes part.  A single square root on the product of
     second moments makes a column paired with itself score exactly 1.0.
     Constant columns are rejected because a correlation is undefined there.
     """
@@ -193,21 +193,25 @@ def pearson_corr_matrix(z, s) -> np.ndarray:
         raise DegenerateColumnError(int(j))
     for j in np.flatnonzero(s.max(axis=0) == s.min(axis=0)):
         raise DegenerateColumnError(int(j))
-    zc, zsq = _centered_columns(z)
-    sc, ssq = _centered_columns(s)
-    cross = np.empty((zc.shape[0], sc.shape[0]))
-    for j, col in enumerate(zc):
-        cross[j] = np.add.reduce(col * sc, axis=1)
+    zc, sc = _centered_columns(z), _centered_columns(s)
+    buf = np.empty(z.shape[0])
+
+    def moment(a: np.ndarray, b: np.ndarray) -> float:
+        return np.add.reduce(np.multiply(a, b, out=buf))
+
+    cross = np.array([[moment(a, b) for b in sc] for a in zc])
+    zsq = np.array([moment(a, a) for a in zc])
+    ssq = np.array([moment(b, b) for b in sc])
     r = cross / np.sqrt(np.outer(zsq, ssq))
     return np.clip(r, -1.0, 1.0)
 
 
-def _centered_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centered columns as contiguous rows (d x N) and their sums of squares,
-    each a pairwise ``np.add.reduce`` along one row."""
+def _centered_columns(x: np.ndarray) -> np.ndarray:
+    """Centered columns as contiguous rows (d x N), each mean a pairwise
+    ``np.add.reduce`` along one row."""
     xc = np.array(x.T, order="C")  # always a copy: centered in place below
     xc -= (np.add.reduce(xc, axis=1) / x.shape[0])[:, None]
-    return xc, np.add.reduce(xc * xc, axis=1)
+    return xc
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,8 @@ def _halves(stage: MixingStage, x) -> tuple[np.ndarray, slice, slice]:
 def stage_forward(stage: MixingStage, x) -> np.ndarray:
     x, read, shifted = _halves(stage, x)
     y = x @ stage.q.T
-    out = y.copy()
-    out[:, shifted] += _mlp_forward(stage.phi, y[:, read])
-    return out
+    y[:, shifted] += _mlp_forward(stage.phi, y[:, read])
+    return y
 
 
 def stage_inverse(stage: MixingStage, y) -> np.ndarray:

@@ -30,12 +30,14 @@ coupling net.
 Every forward pass runs one layer loop over blocks of rows.  A pass that
 keeps activations for the backward pass (the step's encoder pass and the
 cost's decoder pass) runs all rows as one block and keeps each layer's
-output.  A pass that keeps none runs 4096-row blocks at width 128
-through two buffers and into one output array, so encoding a full sample
-holds two block-sized layer outputs rather than two sample-sized ones.
-The bytes are those of one call: a block never drops below the row count
-where OpenBLAS switches to its small-matrix kernel (about 3907 rows for
-the d=2 output layer).
+output.  A pass that keeps none runs 4096-row blocks at width 128 into
+one output array: a block's first layer writes into one block buffer, its
+middle layers run 512-row sub-blocks through two small buffers and write
+back into rows of the block buffer already read, and its output layer
+reads the whole block.  So encoding a full sample holds one block-sized
+layer output rather than two sample-sized ones.  The bytes are those of
+one call: no gemm drops below the size where OpenBLAS switches to its
+small-matrix kernel (about 3907 rows for the d=2 output layer).
 
 Nothing here calls an autodiff framework; the gradient is validated
 against central finite differences in the test suite.
@@ -85,6 +87,9 @@ __all__ = [
 _COLLAPSE_RETRIES = 5
 # rows x width of a block in a forward pass that keeps no activations
 _BLOCK_ELEMENTS = 2 ** 19
+# multiply-adds of the smallest gemm a sub-block may run: above OpenBLAS's
+# small-matrix kernel (M*N*K <= 1e6), which rounds differently
+_GEMM_FLOOR = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,6 +239,13 @@ def init_model(d: int, hidden_sizes, rng: RngStream) -> AutoEncoderModel:
     return AutoEncoderModel(encoder, decoder)
 
 
+def _edges(n: int, rows: int) -> list[int]:
+    """Starts of the row blocks of an n-row input, then n: blocks of `rows`
+    rows, the remainder joining the last; one block if rows is 0 or n < 2*rows."""
+    count = max(n // rows, 1) if rows else 1
+    return [k * rows for k in range(count)] + [n]
+
+
 def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.ndarray:
     """The affine / tanh chain, one layer loop over blocks of rows.
 
@@ -242,41 +254,69 @@ def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.nd
     all rows run as one block, each layer into a fresh array.  Without
     one, a block has _BLOCK_ELEMENTS // max(m.sizes) rows (4096 at width
     128; one block if the width exceeds _BLOCK_ELEMENTS), the remainder
-    joins the last block, and the hidden layers of every block write into
-    the same two buffers, allocated once per pass.  Either way the output
-    layer writes into one (n, out_size) array.  Rows of a gemm do not
-    depend on each other, so the bytes are those of one call, as long as
-    every call runs the same BLAS kernel: OpenBLAS takes a small-matrix
-    kernel for M*N*K < 1e6, which the d=2 output layer (M x 128)(128 x 2)
-    reaches below 3907 rows, and no block of a larger input is that small.
+    joining the last block.  The first layer writes into one block buffer,
+    from its tail; the middle layers run sub-blocks of rows // 8 rows (512
+    at width 128, 4096 for the mixer's width-16 nets) through two small
+    buffers, the last of them writing from the buffer's head into rows
+    already read, which holds for unequal widths too.  Either way the
+    output layer writes into one (n, out_size) array.
+
+    Rows of a gemm do not depend on each other, so the bytes are those of
+    one call, as long as every call runs the same BLAS kernel: OpenBLAS
+    takes a small-matrix kernel for M*N*K <= 1e6, which the d=2 output
+    layer (M x 128)(128 x 2) reaches below 3907 rows.  No block of a larger
+    input is that small, the first and output layers run on whole blocks,
+    and a sub-block grows until every middle layer does at least
+    _GEMM_FLOOR multiply-adds, up to the whole block (hidden (128, 8, 8)).
     """
-    n = x.shape[0]
-    rows = n if acts is not None else _BLOCK_ELEMENTS // max(m.sizes)
-    blocks = max(n // rows, 1) if rows else 1
-    edges = [k * rows for k in range(blocks)] + [n]
+    n, hidden, last = x.shape[0], m.sizes[1:-1], len(m.weights) - 1
     out = np.empty((n, m.out_size))
-    if acts is None:
-        widest = (n - edges[-2]) * max(m.sizes[1:-1], default=0)
-        bufs = (np.empty(widest), np.empty(widest))
-    else:
+    if acts is not None:
         acts.append(x)
-    last = len(m.weights) - 1
-    for start, stop in zip(edges, edges[1:]):
+        blocks, sub, flat, pair = [0, n], n, None, (None, None)
+    else:
+        rows = _BLOCK_ELEMENTS // max(m.sizes)
+        sub = max([rows // 8] + [-(-_GEMM_FLOOR // (a * b)) for a, b in zip(hidden, hidden[1:])])
+        blocks = _edges(n, rows)
+        # the largest sub-block ends a first-sized or the last block
+        most = max(r - _edges(r, sub)[-2] for r in (blocks[1], n - blocks[-2]))
+        flat = np.empty((n - blocks[-2]) * max(hidden[:1] + hidden[-1:], default=0))
+        pair = np.empty((2, most * max(hidden[1:-1], default=0)))
+
+    def rows_of(buf, r: int, width: int, tail: bool = False) -> np.ndarray:
+        # a layer's output: fresh when collecting, else r x width of buf
+        if buf is None:
+            return np.empty((r, width))
+        k = r * width
+        return (buf[buf.size - k:] if tail else buf[:k]).reshape(r, width)
+
+    def layer(l: int, a: np.ndarray, dest: np.ndarray) -> np.ndarray:
+        # in place, so that a layer writes one array of its output's size
+        a = np.matmul(a, m.weights[l], out=dest)
+        a += m.biases[l]
+        if l < last:
+            np.tanh(a, out=a)
+        if acts is not None:
+            acts.append(a)
+        return a
+
+    for start, stop in zip(blocks, blocks[1:]):
+        r = stop - start
         a = x[start:stop]
-        for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-            if l == last:
-                dest = out[start:stop]
-            elif acts is not None:
-                dest = np.empty((stop - start, w.shape[1]))
-            else:
-                dest = bufs[l % 2][:(stop - start) * w.shape[1]].reshape(stop - start, -1)
-            # in place, so that a layer writes one block x width array
-            a = np.matmul(a, w, out=dest)
-            a += b
-            if l < last:
-                np.tanh(a, out=a)
-            if acts is not None:
-                acts.append(a)
+        if last:
+            a = layer(0, a, rows_of(flat, r, hidden[0], tail=True))
+        if last > 1:
+            head = rows_of(flat, r, hidden[-1])
+            subs = _edges(r, sub)
+            for i, j in zip(subs, subs[1:]):
+                # a lone middle layer may write over the rows it reads: numpy's
+                # matmul then reads a copy of the sub-block
+                h = a[i:j]
+                for l in range(1, last):
+                    dest = head[i:j] if l == last - 1 else rows_of(pair[l % 2], j - i, hidden[l])
+                    h = layer(l, h, dest)
+            a = head
+        layer(last, a, out[start:stop])
     return out
 
 

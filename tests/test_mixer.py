@@ -96,7 +96,8 @@ def test_stage_rejects_wrong_width():
 def test_coupling_net_streams_a_column_slice_bit_for_bit(n):
     """A stage feeds its width-16 coupling net the non-contiguous half
     y[:, read]; the streaming forward (one block up to 65535 rows, then
-    32768-row blocks) gives the collecting pass's bytes."""
+    32768-row blocks, each running its one middle layer in 4096-row
+    sub-blocks) gives the collecting pass's bytes."""
     stage = build_pipeline(5, 1, 16, RngStream(25)).stages[0]
     x = RngStream(26).split("x").generator().standard_normal((n, 5))
     half = (x @ stage.q.T)[:, :3]

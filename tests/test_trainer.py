@@ -1,6 +1,9 @@
 """Autoencoder cost, hand-written gradient, and the training loop."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -382,9 +385,11 @@ def test_gradient_memory_stays_within_a_few_point_stacks():
     "forward", [encode, lambda model, x: mlp_forward(model.encoder, x)], ids=["encode", "mlp_forward"]
 )
 def test_forward_pass_holds_at_most_two_layer_outputs(forward):
-    """A forward pass that returns no activations frees each layer's output
-    once the next exists: 4096 rows through (128, 128, 128) peak below 2.5
-    layer outputs, where keeping every layer's output would take 3."""
+    """A forward pass that returns no activations keeps no layer's output:
+    4096 rows through (128, 128, 128) hold one layer output in the block
+    buffer and two 512-row sub-blocks, below 1.5 layer outputs, where
+    keeping every layer's output would take 3 and two buffers of the whole
+    block 2."""
     model = init_model(2, (128, 128, 128), RngStream(19).split("init"))
     x = RngStream(20).split("x").generator().standard_normal((4096, 2))
     tracemalloc.start()
@@ -393,7 +398,7 @@ def test_forward_pass_holds_at_most_two_layer_outputs(forward):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * (4096 * 128 * 8)
+    assert peak < 1.5 * (4096 * 128 * 8)
 
 
 @pytest.mark.parametrize("d", [2, 16])
@@ -411,10 +416,70 @@ def test_blocked_encode_equals_one_call_bit_for_bit(d, n):
     assert encode(model, x).tobytes() == trainer._mlp_forward(model.encoder, x, []).tobytes()
 
 
+@pytest.mark.parametrize("blocks", [0.9, 2.6])
+@pytest.mark.parametrize(
+    "sizes",
+    [(2, 128, 128, 2), (16, 128, 128, 16), (16, 128, 16), (2, 128, 8, 8, 2), (2, 128, 4, 128, 2),
+     (2, 8, 128, 2), (2, 5, 4, 3)],
+    ids=lambda sizes: "x".join(map(str, sizes)),
+)
+def test_streaming_forward_equals_collecting_pass_bit_for_bit(sizes, blocks):
+    """The streaming pass runs its first and output layers on whole blocks
+    and its middle layers in sub-blocks of at least 2**20 multiply-adds,
+    so on one block (0.9 of a block's rows) or three (2.6, the remainder
+    joining the last) it gives the one-call collecting pass's bytes: with
+    no middle layer (128,); with one, which writes over the block-buffer
+    rows it reads; with narrow middle layers that run on the whole block
+    (128, 8, 8) or in 2048-row sub-blocks (128, 4, 128), where 512 rows
+    through 128 -> 4 would take the small-matrix kernel; and with first and
+    last hidden widths that differ (8, 128) and (5, 4)."""
+    m = init_mlp(sizes, RngStream(27).split("init"))
+    n = int(blocks * (trainer._BLOCK_ELEMENTS // max(sizes)))
+    x = RngStream(28).split("x").generator().standard_normal((n, sizes[0]))
+    assert trainer._mlp_forward(m, x).tobytes() == trainer._mlp_forward(m, x, []).tobytes()
+
+
+_HASWELL_SCRIPT = """
+import ctypes, glob, os
+import numpy as np
+from wica_lab import trainer
+from wica_lab.core import RngStream
+
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+print(corename().decode())
+for d in (2, 16):
+    model = trainer.init_model(d, (128, 128, 128), RngStream(21).split("init"))
+    x = RngStream(22).split("x").generator().standard_normal((17618, d))
+    same = trainer.encode(model, x).tobytes() == trainer._mlp_forward(model.encoder, x, []).tobytes()
+    print(d, same)
+"""
+
+
+def test_blocked_encode_equals_one_call_on_the_haswell_kernel():
+    """OpenBLAS picks its gemm kernel per process (OPENBLAS_CORETYPE), so a
+    child process checks the blocked encode against the one-call pass on
+    the AVX2 Haswell kernel too, at one BLAS thread: with two, Haswell
+    splits a 17618-row call across threads so that some rows round
+    differently from any 4096-row block."""
+    env = dict(
+        os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+        PYTHONPATH=str(Path(trainer.__file__).resolve().parents[1]),
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _HASWELL_SCRIPT], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n") == ["Haswell", "2 True", "16 True", ""]
+
+
 def test_blocked_encode_holds_one_block_of_layer_outputs():
-    """32768 rows through (128, 128, 128) run as eight 4096-row blocks: the
-    pass peaks below three block-sized layer outputs plus the (n, d)
-    result, where one call over all rows holds two 32 MB layer outputs."""
+    """32768 rows through (128, 128, 128) run as eight 4096-row blocks, the
+    middle layer in 512-row sub-blocks: the pass peaks below one and a half
+    block-sized layer outputs plus the (n, d) result, where one call over
+    all rows holds two 32 MB layer outputs and two block buffers 8 MB."""
     n, d = 32768, 2
     model = init_model(d, (128, 128, 128), RngStream(23).split("init"))
     x = RngStream(24).split("x").generator().standard_normal((n, d))
@@ -424,7 +489,7 @@ def test_blocked_encode_holds_one_block_of_layer_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * (4096 * 128 * 8) + n * d * 8
+    assert peak < 1.5 * (4096 * 128 * 8) + n * d * 8
 
 
 def test_parameters_are_views_of_theta(tmp_path: Path):
