@@ -123,7 +123,12 @@ def normalize_componentwise(x) -> np.ndarray:
     x = as_data(x)
     if x.shape[0] < 2:
         raise DimensionError("normalization needs at least 2 rows")
-    return _normalize_parts(x)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, _, sigma, _ = _normalize_parts(x)
+    # an overflowing std would divide its column to zeros
+    for j in np.flatnonzero(~np.isfinite(sigma)):
+        raise NonFiniteError(f"column {j}: standard deviation overflows float64")
+    return out
 
 
 def _normalize_parts(x: np.ndarray):
@@ -193,8 +198,25 @@ def pearson_corr_matrix(z, s) -> np.ndarray:
         raise DegenerateColumnError(int(j))
     for j in np.flatnonzero(s.max(axis=0) == s.min(axis=0)):
         raise DegenerateColumnError(int(j))
-    zc, sc = _centered_columns(z), _centered_columns(s)
-    buf = np.empty(z.shape[0])
+    # a mean or moment that overflows is reported by the moment helper
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _corr_of_centred_rows(_centre_rows(z.T.copy()), _centre_rows(s.T.copy()))
+
+
+def _centre_rows(xc: np.ndarray) -> np.ndarray:
+    """xc with each row centred in place on its mean, a pairwise
+    ``np.add.reduce`` along the row."""
+    xc -= (np.add.reduce(xc, axis=1) / xc.shape[1])[:, None]
+    return xc
+
+
+def _corr_of_centred_rows(zc: np.ndarray, sc: np.ndarray) -> np.ndarray:
+    """Pearson correlations of every centred row of zc with every centred
+    row of sc, each moment a pairwise ``np.add.reduce`` over the products
+    of one pair of rows in one n-long buffer.  A pair whose moments leave
+    float64's range raises NonFiniteError: its quotient would read as 0 or
+    a clipped +-1."""
+    buf = np.empty(zc.shape[1])
 
     def moment(a: np.ndarray, b: np.ndarray) -> float:
         return np.add.reduce(np.multiply(a, b, out=buf))
@@ -202,16 +224,12 @@ def pearson_corr_matrix(z, s) -> np.ndarray:
     cross = np.array([[moment(a, b) for b in sc] for a in zc])
     zsq = np.array([moment(a, a) for a in zc])
     ssq = np.array([moment(b, b) for b in sc])
-    r = cross / np.sqrt(np.outer(zsq, ssq))
-    return np.clip(r, -1.0, 1.0)
-
-
-def _centered_columns(x: np.ndarray) -> np.ndarray:
-    """Centered columns as contiguous rows (d x N), each mean a pairwise
-    ``np.add.reduce`` along one row."""
-    xc = np.array(x.T, order="C")  # always a copy: centered in place below
-    xc -= (np.add.reduce(xc, axis=1) / x.shape[0])[:, None]
-    return xc
+    den = np.outer(zsq, ssq)
+    for j, k in np.argwhere(~(np.isfinite(cross) & np.isfinite(den) & (den > 0.0))):
+        raise NonFiniteError(
+            f"moments of left column {j} and right column {k} leave float64 range"
+        )
+    return np.clip(cross / np.sqrt(den), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

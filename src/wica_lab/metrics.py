@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import as_data, average_ranks, pearson_corr_matrix
-from .errors import DimensionError, NonFiniteError
+from .core import _centre_rows, _corr_of_centred_rows, as_data, average_ranks, pearson_corr_matrix
+from .errors import DegenerateColumnError, DimensionError, NonFiniteError
 
 __all__ = [
     "ScoreReport",
@@ -38,10 +38,6 @@ __all__ = [
     "report_to_json",
     "save_report",
 ]
-
-
-def _rank_columns(x: np.ndarray) -> np.ndarray:
-    return np.column_stack([average_ranks(x[:, j]) for j in range(x.shape[1])])
 
 
 def _signals_and_sources(z, s, min_cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -56,8 +52,25 @@ def _signals_and_sources(z, s, min_cols: int) -> tuple[np.ndarray, np.ndarray]:
 def spearman_distance_matrix(z, s) -> np.ndarray:
     """M[j, k] = 1 - |spearman(z column j, s column k)|, each in [0, 1]."""
     z, s = _signals_and_sources(z, s, 1)
-    r = pearson_corr_matrix(_rank_columns(z), _rank_columns(s))
-    return 1.0 - np.abs(r)
+    return 1.0 - np.abs(_spearman_matrix(z, s))
+
+
+def _spearman_matrix(z: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Spearman correlations of every column of checked z with every column
+    of checked s.  Ranks are exact half-integers, so these are the bytes of
+    pearson_corr_matrix on the rank columns."""
+    return _corr_of_centred_rows(_centred_ranks(z), _centred_ranks(s))
+
+
+def _centred_ranks(x: np.ndarray) -> np.ndarray:
+    """Row j the ranks of x[:, j], centred in place; a constant column, whose
+    ranks are all equal, raises DegenerateColumnError(j)."""
+    ranks = np.empty(x.shape[::-1])
+    for row, column in zip(ranks, x.T):
+        row[:] = average_ranks(column)
+    for j in np.flatnonzero(ranks.max(axis=1) == ranks.min(axis=1)):
+        raise DegenerateColumnError(int(j))
+    return _centre_rows(ranks)
 
 
 def _hungarian(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,7 +239,7 @@ class ScoreReport:
 def score(z, s) -> ScoreReport:
     """Assemble both measures against the true sources."""
     z, s = _signals_and_sources(z, s, 2)
-    rank_corr = pearson_corr_matrix(_rank_columns(z), _rank_columns(s))
+    rank_corr = _spearman_matrix(z, s)
     pearson = pearson_corr_matrix(z, s)
     ots_value, ots_perm = ots(z, s)
     mc_value, mc_perm = _max_corr_of(pearson)

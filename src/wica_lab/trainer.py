@@ -268,6 +268,11 @@ def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.nd
     input is that small, the first and output layers run on whole blocks,
     and a sub-block grows until every middle layer does at least
     _GEMM_FLOOR multiply-adds, up to the whole block (hidden (128, 8, 8)).
+    A width-1 hidden layer is the known exception at more than one BLAS
+    thread: with hidden (128, 128, 1, 128), d=16 and 17618 rows, two rows
+    differ from the one call at two threads, likely where OpenBLAS splits
+    the 128 -> 1 product across threads by row count; at one thread the
+    bytes agree.
     """
     n, hidden, last = x.shape[0], m.sizes[1:-1], len(m.weights) - 1
     out = np.empty((n, m.out_size))

@@ -4,9 +4,11 @@ Everything here exists to check the fast paths from the outside: plain
 Python loops instead of vectorized statistics and ranks, exhaustive
 search and row-by-row re-solves instead of the assignment solver,
 finite differences instead of the hand-written backward pass, grid
-quadrature instead of the closed-form concentration value.  None of it shares code with the modules under
-test beyond the model's parameter layout, and none of it is built for
-speed.  It is test-only and is not part of the installed package.
+quadrature instead of the closed-form concentration value.  None of it
+shares code with the modules under test beyond the model's parameter
+layout, except the earlier Spearman path, kept as a composition of the
+public ranks and Pearson functions; none of it is built for speed.  It
+is test-only and is not part of the installed package.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from wica_lab.core import average_ranks, pearson_corr_matrix
 from wica_lab.errors import DimensionError, FileFormatError, NumericalError
 from wica_lab.trainer import AutoEncoderModel
 
@@ -28,6 +31,7 @@ __all__ = [
     "loop_weighted_cov",
     "brute_assignment",
     "loop_average_ranks",
+    "stacked_spearman_matrix",
     "rowwise_assignment",
     "loop_point_index",
     "loop_weighting_points",
@@ -215,6 +219,21 @@ def rowwise_assignment(cost) -> tuple[np.ndarray, float]:
             free.remove(k)
     perm = np.array(chosen, dtype=int)
     return perm, float(c[rows, perm].sum())
+
+
+# ---------------------------------------------------------------------------
+# Spearman through column-stacked ranks: the package's earlier path, kept as
+# the reference that metrics' row-matrix ranks must match bit for bit
+
+
+def stacked_spearman_matrix(z, s) -> np.ndarray:
+    """Spearman correlations of every column of z with every column of s
+    as scoring once computed them: a list of rank columns, column-stacked,
+    then pearson_corr_matrix, which copies and centres their transpose."""
+    def ranks(x):
+        return np.column_stack([average_ranks(x[:, j]) for j in range(x.shape[1])])
+
+    return pearson_corr_matrix(ranks(z), ranks(s))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import wica_lab
 from wica_lab.cli import build_parser, main
-from wica_lab.core import load_csv, normalize_componentwise
+from wica_lab.core import load_csv, normalize_componentwise, save_csv
 from wica_lab.datagen import KINDS, resolve_params
 from wica_lab.errors import FileFormatError
 from wica_lab.mixer import load_pipeline
@@ -188,6 +188,7 @@ def test_invalid_config_json_exits_2(tmp_path, monkeypatch):
 # exactly, a value out of range, or a key no option table declares; the last
 # field is what the error line must say
 _GRID = ["--config", "cfg.json", "--out-dir", "grid"]
+_HUGE = "huge.csv"  # column 0 alternates +-1e308
 _MALFORMED = [
     ("generate", ["--config", "cfg.json"], {"d": "two"}, None, "sources.csv", "d: expected"),
     ("generate", ["--config", "cfg.json"], {"n": 64.5, "d": 2.9}, None, "sources.csv",
@@ -234,15 +235,29 @@ _MALFORMED = [
     ("bench", _GRID, {"mix_hidden": 0}, None, "grid/summary.csv", "mix_hidden: must be >= 1"),
     ("bench", ["--out-dir", "grid", "--threads", "-1"], None, None, "grid/summary.csv",
      "threads: must be >= 1"),
+    # a finite column whose mean and variance overflow float64
+    ("wii", ["--data", _HUGE], None, None, "wii.json",
+     "column 0: standard deviation overflows float64"),
+    ("mix", ["--data", _HUGE], None, None, "mixed.csv",
+     "column 0: standard deviation overflows float64"),
+    ("score", [_HUGE, "data.csv"], None, None, "report.json",
+     "moments of left column 0 and right column 0 leave float64 range"),
 ]
 
 
+def _malformed_id(case) -> str:
+    return case[0] + ("-overflow" if _HUGE in case[1] else "")
+
+
 @pytest.mark.parametrize("command,argv,config,threads_env,primary,message", _MALFORMED,
-                         ids=[case[0] for case in _MALFORMED])
+                         ids=[_malformed_id(case) for case in _MALFORMED])
 def test_malformed_option_exits_2(tmp_path, monkeypatch, capsys, command, argv, config,
                                   threads_env, primary, message):
     monkeypatch.chdir(tmp_path)
     _generate("data.csv", n=64)
+    huge = load_csv("data.csv")
+    huge[:, 0] = np.where(np.arange(64) % 2, -1e308, 1e308)
+    save_csv(_HUGE, huge)
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config) + "\n")
     if threads_env is None:

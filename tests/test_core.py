@@ -1,6 +1,7 @@
 """Core numerics: weighted statistics, normalization, correlations, Haar draws."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from wica_lab.errors import (
     DegenerateWeightsError,
     DimensionError,
     FileFormatError,
+    NonFiniteError,
     NumericalError,
 )
 from wica_lab.metrics import spearman_distance_matrix
@@ -120,6 +122,16 @@ def test_normalize_needs_two_rows():
         normalize_componentwise(np.array([[1.0, 2.0]]))
 
 
+def test_normalize_rejects_a_column_whose_std_overflows():
+    # finite values whose variance overflows: the column would be divided
+    # by an infinite std into zeros
+    x = np.column_stack([np.where(np.arange(64) % 2, -1e308, 1e308), np.arange(64.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="column 0: standard deviation overflows"):
+            normalize_componentwise(x)
+
+
 def test_normalize_affine_invariance():
     g = RngStream(5).split("aff").generator()
     x = g.standard_normal((200, 2))
@@ -168,6 +180,25 @@ def test_pearson_matrix_matches_numpy_corrcoef():
     p = pearson_corr_matrix(z, s)
     full = np.corrcoef(np.hstack([z, s]).T)
     assert np.max(np.abs(p - full[:3, 3:])) < 1e-12
+
+
+@pytest.mark.parametrize("z_scale,s_scale,pair", [
+    (1e160, 1.0, "left column 2 and right column 0"),  # a second moment overflows
+    (1e100, 1e100, "left column 0 and right column 0"),  # only their product does
+    (1e-100, 1e-100, "left column 0 and right column 0"),  # their product underflows
+], ids=["moment", "product", "underflow"])
+def test_pearson_matrix_names_the_pair_whose_moments_leave_float64(z_scale, s_scale, pair):
+    # each case would otherwise read 0, nan or a clipped +-1
+    g = RngStream(15).split("range").generator()
+    z, s = g.standard_normal((100, 3)), g.standard_normal((100, 2))
+    if s_scale == 1.0:
+        z[:, 2] *= z_scale
+    else:
+        z, s = z * z_scale, s * s_scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match=pair):
+            pearson_corr_matrix(z, s)
 
 
 def test_pearson_matrix_rejects_constant_column():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from wica_lab.metrics import (
     spearman_distance_matrix,
 )
 
-from oracles import brute_assignment, load_record, rowwise_assignment
+from oracles import brute_assignment, load_record, rowwise_assignment, stacked_spearman_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -166,6 +167,62 @@ def test_spearman_distance_matrix_range():
     g = RngStream(46).split("sd").generator()
     m = spearman_distance_matrix(g.standard_normal((100, 3)), g.standard_normal((100, 3)))
     assert np.all(m >= 0.0) and np.all(m <= 1.0)
+
+
+def _spearman_inputs(n: int, d: int, ties: bool) -> tuple[np.ndarray, np.ndarray]:
+    g = RngStream(47).split(f"ranks{n}x{d}").generator()
+    z = g.standard_normal((n, d))
+    s = 0.5 * z[:, ::-1] + g.standard_normal((n, d))
+    if ties:  # a handful of distinct values per column
+        z, s = np.round(2.0 * z), np.round(s)
+    return z, s
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+@pytest.mark.parametrize("n", [17, 500, 16384])
+@pytest.mark.parametrize("d", [2, 3, 16])
+def test_row_ranks_match_stacked_rank_columns_bit_for_bit(d, n, ties):
+    """Ranks are exact half-integers, and each row of the rank matrix is
+    centred and multiplied in the order the stacked columns were, so the
+    matrix, the distances, OTS and its assignment keep their bytes."""
+    z, s = _spearman_inputs(n, d, ties)
+    ref = stacked_spearman_matrix(z, s)
+    ref_perm, ref_total = solve_assignment((1.0 - np.abs(ref)).T)
+    rep = score(z, s)
+    assert rep.spearman_matrix.tobytes() == ref.tobytes()
+    assert spearman_distance_matrix(z, s).tobytes() == (1.0 - np.abs(ref)).tobytes()
+    assert rep.ots == 1.0 - ref_total / d
+    assert rep.assignment_ots == tuple(int(k) for k in ref_perm)
+
+
+@pytest.mark.parametrize(
+    "z_cols,s_cols", [((1,), ()), ((), (0,)), ((2,), (0,)), ((0, 2), (1,))],
+    ids=["z1", "s0", "z2-s0", "z0-z2-s1"],
+)
+def test_row_ranks_reject_a_constant_column_as_stacked_rank_columns(z_cols, s_cols):
+    z, s = _spearman_inputs(500, 3, ties=True)
+    z[:, list(z_cols)] = 2.5
+    s[:, list(s_cols)] = -1.0
+    with pytest.raises(DegenerateColumnError) as ref:
+        stacked_spearman_matrix(z, s)
+    for call in (score, spearman_distance_matrix):
+        with pytest.raises(DegenerateColumnError) as got:
+            call(z, s)
+        assert got.value.column == ref.value.column == (z_cols or s_cols)[0]
+
+
+def test_score_at_16384_by_16_peaks_below_6_mib():
+    """Each input's ranks fill one (d, n) matrix centred in place, 2 MiB at
+    16384 x 16; the stacked path held a list of rank columns, their stacked
+    copy and a centred transpose per input, and peaked at 8.1 MiB."""
+    z, s = _spearman_inputs(16384, 16, ties=False)
+    tracemalloc.start()
+    try:
+        score(z, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -457,22 +457,43 @@ for d in (2, 16):
 """
 
 
+def _run_child(script: str, **env: str) -> list[str]:
+    """stdout lines of script run in a child process with env added:
+    OpenBLAS reads its kernel and thread count when it loads."""
+    env = dict(os.environ, PYTHONPATH=str(Path(trainer.__file__).resolve().parents[1]), **env)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split("\n")
+
+
 def test_blocked_encode_equals_one_call_on_the_haswell_kernel():
     """OpenBLAS picks its gemm kernel per process (OPENBLAS_CORETYPE), so a
     child process checks the blocked encode against the one-call pass on
     the AVX2 Haswell kernel too, at one BLAS thread: with two, Haswell
     splits a 17618-row call across threads so that some rows round
     differently from any 4096-row block."""
-    env = dict(
-        os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
-        PYTHONPATH=str(Path(trainer.__file__).resolve().parents[1]),
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", _HASWELL_SCRIPT], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n") == ["Haswell", "2 True", "16 True", ""]
+    out = _run_child(_HASWELL_SCRIPT, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1")
+    assert out == ["Haswell", "2 True", "16 True", ""]
+
+
+_WIDTH_ONE_SCRIPT = """
+from wica_lab import trainer
+from wica_lab.core import RngStream
+
+m = trainer.init_mlp((16, 128, 128, 1, 128, 16), RngStream(27).split("init"))
+x = RngStream(28).split("x").generator().standard_normal((17618, 16))
+print(trainer._mlp_forward(m, x).tobytes() == trainer._mlp_forward(m, x, []).tobytes())
+"""
+
+
+def test_streaming_forward_through_a_width_one_layer_at_one_blas_thread():
+    """The known exception of _mlp_forward's docstring: through a width-1
+    hidden layer the streaming pass gives the collecting pass's bytes at
+    one BLAS thread, in a child process, while at two threads two of these
+    17618 rows differ."""
+    assert _run_child(_WIDTH_ONE_SCRIPT, OPENBLAS_NUM_THREADS="1") == ["True", ""]
 
 
 def test_blocked_encode_holds_one_block_of_layer_outputs():
