@@ -22,7 +22,6 @@ failures (weight collapse, divergence, degenerate data).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -300,6 +299,8 @@ def _bench_one(d: int, iterations: int, seed: int, cfg: dict) -> dict:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from concurrent.futures import ThreadPoolExecutor  # bench alone runs threads
+
     cfg = _resolve(args, _BENCH)
     if not (cfg["dims"] and cfg["mixes"] and cfg["seeds"]):
         raise FileFormatError("bench needs nonempty dims, mixes and seeds lists")
@@ -320,7 +321,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except WicaError as exc:
             return key, {"status": "failed", "error": str(exc)}
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         results = dict(pool.map(job, runs))
 
     runs_path = out_dir / "runs.csv"

@@ -105,17 +105,18 @@ class MixingPipeline:
         return len(self.stages)
 
 
-def _split_sizes(d: int) -> tuple[int, int]:
-    # first half gets the extra coordinate when d is odd
-    hi = (d + 1) // 2
-    return hi, d - hi
+def _halves(d: int, parity: str) -> tuple[slice, slice]:
+    """Slices of the half a stage's coupling net reads and of the half it
+    shifts: an odd stage reads the first half and shifts the second, an
+    even stage the reverse; the first half gets the extra coordinate when
+    d is odd."""
+    first, second = slice(None, (d + 1) // 2), slice((d + 1) // 2, None)
+    return (first, second) if parity == "odd" else (second, first)
 
 
 def _coupling_sizes(d: int, parity: str) -> tuple[int, int]:
-    """(in, out) sizes of a stage's coupling net: an odd stage shifts the
-    second half by a function of the first, an even stage the reverse."""
-    hi, lo = _split_sizes(d)
-    return (hi, lo) if parity == "odd" else (lo, hi)
+    """(in, out) sizes of a stage's coupling net."""
+    return tuple(len(range(d)[half]) for half in _halves(d, parity))
 
 
 def _parity(t: int) -> str:
@@ -148,26 +149,23 @@ def build_pipeline(d: int, iterations: int, hidden: int, rng: RngStream) -> Mixi
     return MixingPipeline(tuple(stages), d, rng.seed)
 
 
-def _halves(stage: MixingStage, x) -> tuple[np.ndarray, slice, slice]:
-    """x checked against the stage, then the slices of the half the coupling
-    net reads and of the half it shifts."""
+def _stage_input(stage: MixingStage, x) -> tuple[np.ndarray, slice, slice]:
+    """x checked against the stage, then the stage's _halves."""
     x = as_data(x, min_cols=2, name="stage input")
     if x.shape[1] != stage.d:
         raise DimensionError(f"stage expects d={stage.d}, got {x.shape[1]}")
-    hi, _ = _split_sizes(stage.d)
-    first, second = slice(None, hi), slice(hi, None)
-    return (x, first, second) if stage.parity == "odd" else (x, second, first)
+    return (x, *_halves(stage.d, stage.parity))
 
 
 def stage_forward(stage: MixingStage, x) -> np.ndarray:
-    x, read, shifted = _halves(stage, x)
+    x, read, shifted = _stage_input(stage, x)
     y = x @ stage.q.T
     y[:, shifted] += _mlp_forward(stage.phi, y[:, read])
     return y
 
 
 def stage_inverse(stage: MixingStage, y) -> np.ndarray:
-    y, read, shifted = _halves(stage, y)
+    y, read, shifted = _stage_input(stage, y)
     out = y.copy()
     out[:, shifted] -= _mlp_forward(stage.phi, y[:, read])
     return out @ stage.q

@@ -27,17 +27,13 @@ cost_gradient returns this layout.  The one feed-forward net, MlpParams
 with init_mlp, its forward pass and its JSON layout, is also the mixer's
 coupling net.
 
-Every forward pass runs one layer loop over blocks of rows.  A pass that
-keeps activations for the backward pass (the step's encoder pass and the
-cost's decoder pass) runs all rows as one block and keeps each layer's
-output.  A pass that keeps none runs 4096-row blocks at width 128 into
-one output array: a block's first layer writes into one block buffer, its
-middle layers run 512-row sub-blocks through two small buffers and write
-back into rows of the block buffer already read, and its output layer
-reads the whole block.  So encoding a full sample holds one block-sized
-layer output rather than two sample-sized ones.  The bytes are those of
-one call: no gemm drops below the size where OpenBLAS switches to its
-small-matrix kernel (about 3907 rows for the d=2 output layer).
+Every forward pass is one layer loop over blocks of rows (_mlp_forward).
+A pass that keeps activations for the backward pass (the step's encoder
+pass and the cost's decoder pass) runs all rows as one block.  A pass
+that keeps none runs 4096-row blocks at width 128, each hidden layer
+writing a view of one of two reused 2-D buffers, so encoding a full
+sample holds one block-sized layer output rather than two sample-sized
+ones, with the bytes of one call.
 
 Nothing here calls an autodiff framework; the gradient is validated
 against central finite differences in the test suite.
@@ -56,6 +52,7 @@ import numpy as np
 from .core import (
     RngStream, _array_from_json, _at_least, _choice, _float, _int, _list_of, _normalize_parts,
     _optional, _parse, _parse_fields, _read_json_object, _require_fields, as_data,
+    normalize_componentwise,
 )
 from .errors import (
     DimensionError,
@@ -254,12 +251,12 @@ def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.nd
     all rows run as one block, each layer into a fresh array.  Without
     one, a block has _BLOCK_ELEMENTS // max(m.sizes) rows (4096 at width
     128; one block if the width exceeds _BLOCK_ELEMENTS), the remainder
-    joining the last block.  The first layer writes into one block buffer,
-    from its tail; the middle layers run sub-blocks of rows // 8 rows (512
-    at width 128, 4096 for the mixer's width-16 nets) through two small
-    buffers, the last of them writing from the buffer's head into rows
-    already read, which holds for unequal widths too.  Either way the
-    output layer writes into one (n, out_size) array.
+    joining the last, and each hidden layer writes the view buf[:r, :width]
+    of a 2-D buffer: the first layer of the block buffer; the middle layers,
+    in sub-blocks of rows // 8 rows (512 at width 128, 4096 for the mixer's
+    width-16 nets), of a pair of sub-block buffers, the last of them back
+    into the block-buffer rows it has just read.  Either way the output
+    layer writes into one (n, out_size) array.
 
     Rows of a gemm do not depend on each other, so the bytes are those of
     one call, as long as every call runs the same BLAS kernel: OpenBLAS
@@ -278,22 +275,19 @@ def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.nd
     out = np.empty((n, m.out_size))
     if acts is not None:
         acts.append(x)
-        blocks, sub, flat, pair = [0, n], n, None, (None, None)
+        blocks, sub, block, pair = [0, n], n, None, (None, None)
     else:
         rows = _BLOCK_ELEMENTS // max(m.sizes)
         sub = max([rows // 8] + [-(-_GEMM_FLOOR // (a * b)) for a, b in zip(hidden, hidden[1:])])
         blocks = _edges(n, rows)
         # the largest sub-block ends a first-sized or the last block
         most = max(r - _edges(r, sub)[-2] for r in (blocks[1], n - blocks[-2]))
-        flat = np.empty((n - blocks[-2]) * max(hidden[:1] + hidden[-1:], default=0))
-        pair = np.empty((2, most * max(hidden[1:-1], default=0)))
+        block = np.empty((n - blocks[-2], max(hidden[:1] + hidden[-1:], default=0)))
+        pair = np.empty((2, most, max(hidden[1:-1], default=0)))
 
-    def rows_of(buf, r: int, width: int, tail: bool = False) -> np.ndarray:
+    def rows_of(buf, r: int, width: int) -> np.ndarray:
         # a layer's output: fresh when collecting, else r x width of buf
-        if buf is None:
-            return np.empty((r, width))
-        k = r * width
-        return (buf[buf.size - k:] if tail else buf[:k]).reshape(r, width)
+        return np.empty((r, width)) if buf is None else buf[:r, :width]
 
     def layer(l: int, a: np.ndarray, dest: np.ndarray) -> np.ndarray:
         # in place, so that a layer writes one array of its output's size
@@ -309,18 +303,18 @@ def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.nd
         r = stop - start
         a = x[start:stop]
         if last:
-            a = layer(0, a, rows_of(flat, r, hidden[0], tail=True))
+            a = layer(0, a, rows_of(block, r, hidden[0]))
         if last > 1:
-            head = rows_of(flat, r, hidden[-1])
+            back = rows_of(block, r, hidden[-1])
             subs = _edges(r, sub)
             for i, j in zip(subs, subs[1:]):
-                # a lone middle layer may write over the rows it reads: numpy's
+                # a lone middle layer writes over the rows it reads: numpy's
                 # matmul then reads a copy of the sub-block
                 h = a[i:j]
                 for l in range(1, last):
-                    dest = head[i:j] if l == last - 1 else rows_of(pair[l % 2], j - i, hidden[l])
+                    dest = back[i:j] if l == last - 1 else rows_of(pair[l % 2], j - i, hidden[l])
                     h = layer(l, h, dest)
-            a = head
+            a = back
         layer(last, a, out[start:stop])
     return out
 
@@ -498,6 +492,11 @@ def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
         raise InsufficientDataError(
             f"batch_size {cfg.batch_size} exceeds the {n} available rows"
         )
+    # an overflowing std would diverge at step 1; n * range**2 bounds the sum
+    # of squares, so only where it overflows does the full check run
+    with np.errstate(over="ignore"):
+        if not np.isfinite(n * (x.max(axis=0) - x.min(axis=0)) ** 2).all():
+            normalize_componentwise(x)
     root = RngStream(cfg.seed)
     model = init_model(d, cfg.hidden_sizes, root.split("init"))
     batch_gen = root.split("batches").generator()

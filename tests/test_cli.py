@@ -3,9 +3,12 @@
 import hashlib
 import importlib
 import json
+import os
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +245,8 @@ _MALFORMED = [
      "column 0: standard deviation overflows float64"),
     ("score", [_HUGE, "data.csv"], None, None, "report.json",
      "moments of left column 0 and right column 0 leave float64 range"),
+    ("train", ["--data", _HUGE, "--steps", "2", "--batch-size", "32"], None, None, "model.json",
+     "column 0: standard deviation overflows float64"),
 ]
 
 
@@ -249,6 +254,7 @@ def _malformed_id(case) -> str:
     return case[0] + ("-overflow" if _HUGE in case[1] else "")
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command,argv,config,threads_env,primary,message", _MALFORMED,
                          ids=[_malformed_id(case) for case in _MALFORMED])
 def test_malformed_option_exits_2(tmp_path, monkeypatch, capsys, command, argv, config,
@@ -499,3 +505,17 @@ def test_every_exported_name_resolves(module):
     namespace: dict = {}
     exec(f"from {module} import *", namespace)
     assert set(mod.__all__) <= set(namespace)
+
+
+def test_importing_the_cli_leaves_concurrent_futures_unloaded():
+    """Only bench runs a thread pool, so only bench imports
+    concurrent.futures: a process that imports the CLI, to run any other
+    command, does not load it.  A child process starts from a clean
+    sys.modules."""
+    script = "import sys, wica_lab.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(wica_lab.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

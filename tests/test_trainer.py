@@ -496,13 +496,21 @@ def test_streaming_forward_through_a_width_one_layer_at_one_blas_thread():
     assert _run_child(_WIDTH_ONE_SCRIPT, OPENBLAS_NUM_THREADS="1") == ["True", ""]
 
 
-def test_blocked_encode_holds_one_block_of_layer_outputs():
+@pytest.mark.parametrize(
+    "hidden,blocks", [((128, 128, 128), 8), ((8, 128), 2.6), ((128, 8), 2.6)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"{v}-blocks",
+)
+def test_blocked_encode_holds_one_block_of_layer_outputs(hidden, blocks):
     """32768 rows through (128, 128, 128) run as eight 4096-row blocks, the
     middle layer in 512-row sub-blocks: the pass peaks below one and a half
     block-sized layer outputs plus the (n, d) result, where one call over
-    all rows holds two 32 MB layer outputs and two block buffers 8 MB."""
-    n, d = 32768, 2
-    model = init_model(d, (128, 128, 128), RngStream(23).split("init"))
+    all rows holds two 32 MB layer outputs and two block buffers 8 MB.
+    With first and last hidden widths that differ, (8, 128) and (128, 8)
+    at 2.6 blocks (the last block 6553 rows), the narrow layer's output is
+    a strided view of the 128-wide block buffer, and the same bound on the
+    last block pins that no view is copied whole."""
+    n, d = int(blocks * 4096), 2
+    model = init_model(d, hidden, RngStream(23).split("init"))
     x = RngStream(24).split("x").generator().standard_normal((n, d))
     tracemalloc.start()
     try:
@@ -510,7 +518,8 @@ def test_blocked_encode_holds_one_block_of_layer_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * (4096 * 128 * 8) + n * d * 8
+    rows = n - trainer._edges(n, 4096)[-2]
+    assert peak < 1.5 * (rows * 128 * 8) + n * d * 8
 
 
 def test_parameters_are_views_of_theta(tmp_path: Path):
