@@ -15,13 +15,10 @@ from .core import (
     pearson_corr_matrix,
     sample_haar_orthogonal,
     save_csv,
-    weighted_cov,
-    weighted_mean,
 )
 from .datagen import KINDS, SourceSpec, generate
 from .errors import (
     DegenerateColumnError,
-    DegenerateWeightsError,
     DimensionError,
     FileFormatError,
     InsufficientDataError,
@@ -31,7 +28,7 @@ from .errors import (
     WeightCollapseError,
     WicaError,
 )
-from .metrics import ScoreReport, max_corr, ots, save_report, score, solve_assignment
+from .metrics import ScoreReport, ots, save_report, score, solve_assignment
 from .mixer import (
     MixingPipeline,
     MixingStage,
@@ -56,7 +53,6 @@ from .trainer import (
 )
 from .wii import (
     WiiConfig,
-    concentration,
     wii_at_point,
     wii_index,
     wii_multi,
@@ -67,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AutoEncoderModel",
     "DegenerateColumnError",
-    "DegenerateWeightsError",
     "DimensionError",
     "FileFormatError",
     "InsufficientDataError",
@@ -87,14 +82,12 @@ __all__ = [
     "WicaError",
     "WiiConfig",
     "build_pipeline",
-    "concentration",
     "cost_gradient",
     "encode",
     "generate",
     "load_csv",
     "load_model",
     "load_pipeline",
-    "max_corr",
     "mix",
     "normalize_componentwise",
     "ots",
@@ -109,8 +102,6 @@ __all__ = [
     "solve_assignment",
     "train",
     "unmix_exact",
-    "weighted_cov",
-    "weighted_mean",
     "wica_cost",
     "wii_at_point",
     "wii_index",

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DegenerateColumnError,
-    DegenerateWeightsError,
     DimensionError,
     FileFormatError,
     NonFiniteError,
@@ -30,9 +29,6 @@ from .errors import (
 __all__ = [
     "RngStream",
     "as_data",
-    "as_weights",
-    "weighted_mean",
-    "weighted_cov",
     "normalize_componentwise",
     "average_ranks",
     "pearson_corr_matrix",
@@ -61,40 +57,8 @@ def as_data(x, *, min_cols: int = 1, name: str = "data") -> np.ndarray:
     return arr
 
 
-def as_weights(w, n: int) -> np.ndarray:
-    """Validate a weight vector: length n, finite, nonnegative, positive sum."""
-    arr = np.asarray(w, dtype=np.float64)
-    if arr.shape != (n,):
-        raise DimensionError(f"weights must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DegenerateWeightsError("weights contain non-finite values")
-    if np.any(arr < 0.0):
-        raise DegenerateWeightsError("weights must be nonnegative")
-    if arr.sum() <= 0.0:
-        raise DegenerateWeightsError("weights sum to zero")
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # weighted statistics
-
-
-def weighted_mean(x, w) -> np.ndarray:
-    """Weight-normalized mean of the rows of x."""
-    x = as_data(x)
-    w = as_weights(w, x.shape[0])[None]
-    return _weighted_moments(x, w, w.sum(axis=1))[0][0]
-
-
-def weighted_cov(x, w) -> np.ndarray:
-    """Population covariance of rows of x under weights w.
-
-    The divisor is the total weight, never a Bessel-style correction:
-    a two-row sample [[0], [2]] with equal weights has variance 1.
-    """
-    x = as_data(x)
-    w = as_weights(w, x.shape[0])[None]
-    return _weighted_moments(x, w, w.sum(axis=1))[2][0]
 
 
 def _weighted_moments(y: np.ndarray, w: np.ndarray, total: np.ndarray):

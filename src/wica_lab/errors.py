@@ -9,7 +9,6 @@ code written against plain numpy idioms keeps working.
 __all__ = [
     "WicaError",
     "DimensionError",
-    "DegenerateWeightsError",
     "DegenerateColumnError",
     "WeightCollapseError",
     "InsufficientDataError",
@@ -30,10 +29,6 @@ class DimensionError(WicaError, ValueError):
 
 class NonFiniteError(WicaError, ValueError):
     """Input contains NaN or infinity where finite values are required."""
-
-
-class DegenerateWeightsError(WicaError):
-    """A weight vector is unusable: negative entries, zero sum, or NaN."""
 
 
 class DegenerateColumnError(WicaError):

@@ -12,9 +12,9 @@ per column the LP relaxation is integral, so the Hungarian method gives
 the exact optimum of the integer program in O(d^3).  Ties go to the
 lexicographically smallest optimal permutation, found on the edges that
 are tight under the Hungarian duals: an edge is tight when its reduced
-cost is at most 1e-12 * (1 + |optimum|), a per-edge test where the
-earlier row-by-row re-solves compared the total of each completion with
-the optimum.  Finding it keeps the whole solve O(d^3).
+cost is at most 1e-12 * (1 + |optimum|), and a matching whose edges are
+each tight counts as optimal even if its excess over the optimum is up
+to d times that.  Finding it keeps the whole solve O(d^3).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "spearman_distance_matrix",
     "solve_assignment",
     "ots",
-    "max_corr",
     "score",
     "report_to_json",
     "save_report",
@@ -134,12 +133,10 @@ def solve_assignment(cost) -> tuple[np.ndarray, float]:
     chosen.  The whole solve is O(d^3).
 
     An edge is tight when its reduced cost is at most
-    tol = 1e-12 * (1 + |optimum|).  The row-by-row re-solves this
-    replaces applied tol to the total of each candidate completion; here
-    it applies to each edge.  A matching's reduced costs sum to its
-    excess over the optimum, so exact ties are resolved as before, while
-    a near-tie whose edges each lie within tol but whose excess exceeds
-    tol (at most d * tol) now also counts as a tie.  The edges of the
+    tol = 1e-12 * (1 + |optimum|).  A matching's reduced costs sum to its
+    excess over the optimum, so every edge of an exact tie is tight, and a
+    matching whose edges are each tight counts as optimal even if its
+    excess exceeds tol (it is at most d * tol).  The edges of the
     Hungarian optimum count as tight whatever their roundoff, so the
     tight edges always hold a perfect matching and a row with no smaller
     column open to it keeps the one it holds.
@@ -194,18 +191,6 @@ def ots(z, s) -> tuple[float, np.ndarray]:
     return 1.0 - total / m.shape[0], perm
 
 
-def max_corr(z, s) -> tuple[float, np.ndarray]:
-    """Assignment-maximized mean |Pearson| between matched columns."""
-    z, s = _signals_and_sources(z, s, 1)
-    return _max_corr_of(pearson_corr_matrix(z, s))
-
-
-def _max_corr_of(p: np.ndarray) -> tuple[float, np.ndarray]:
-    """max_corr from the Pearson matrix of retrieved rows by source columns."""
-    perm, total = solve_assignment(1.0 - np.abs(p).T)
-    return 1.0 - total / p.shape[0], perm
-
-
 @dataclass(frozen=True, eq=False)
 class ScoreReport:
     """Both scores plus everything needed to recompute them.
@@ -242,10 +227,11 @@ def score(z, s) -> ScoreReport:
     rank_corr = _spearman_matrix(z, s)
     pearson = pearson_corr_matrix(z, s)
     ots_value, ots_perm = ots(z, s)
-    mc_value, mc_perm = _max_corr_of(pearson)
+    # max_corr: the assignment-maximized mean |Pearson| of matched columns
+    mc_perm, mc_total = solve_assignment(1.0 - np.abs(pearson).T)
     return ScoreReport(
         ots=float(ots_value),
-        max_corr=float(mc_value),
+        max_corr=float(1.0 - mc_total / pearson.shape[0]),
         assignment_ots=tuple(int(k) for k in ots_perm),
         assignment_max_corr=tuple(int(k) for k in mc_perm),
         spearman_matrix=rank_corr,

@@ -59,7 +59,8 @@ class MixingStage:
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise DimensionError(f"stage matrix must be square, got {q.shape}")
         ortho = np.abs(q.T @ q - np.eye(q.shape[0])).max()
-        if ortho > 1e-10:
+        # written so that a NaN defect fails it too
+        if not ortho <= 1e-10:
             raise DimensionError(f"stage matrix is not orthogonal (defect {ortho:.2e})")
         if self.parity not in PARITIES:
             raise DimensionError(f"parity must be one of {PARITIES}, got {self.parity!r}")

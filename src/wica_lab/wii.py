@@ -34,12 +34,10 @@ from .errors import DimensionError, InsufficientDataError, NonFiniteError, Weigh
 
 __all__ = [
     "WiiConfig",
-    "dependence_coefficients",
     "wii_at_point",
     "sample_weighting_points",
     "wii_multi",
     "wii_index",
-    "concentration",
 ]
 
 
@@ -92,21 +90,14 @@ def _weights(lw: np.ndarray):
     return w, total, total - 1.0 < _MIN_EFFECTIVE_WEIGHT
 
 
-def dependence_coefficients(cov) -> np.ndarray:
-    """Pairwise coefficients c_ij from a covariance matrix, zero diagonal.
+def _coefficients(z: np.ndarray) -> np.ndarray:
+    """Pairwise coefficients c_ij of every (d, d) covariance matrix of a
+    stack, zero diagonal.
 
     A pair whose variances are both zero carries no evidence of linear
     dependence, so its coefficient is 0 rather than 0/0; this is what
     lets the index stay finite on flat latent channels during training.
     """
-    z = np.asarray(cov, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise DimensionError(f"covariance must be square, got shape {z.shape}")
-    return _coefficients(z)
-
-
-def _coefficients(z: np.ndarray) -> np.ndarray:
-    """dependence_coefficients of every (d, d) matrix of a stack."""
     diag = np.arange(z.shape[-1])
     var = z[..., diag, diag]
     denom = var[..., :, None] ** 2 + var[..., None, :] ** 2
@@ -242,18 +233,3 @@ def wii_index(x, config: WiiConfig = WiiConfig(), rng: RngStream | None = None) 
     points = sample_weighting_points(y, config.resolve_num_points(x.shape[1]), rng)
     return wii_multi(y, points)
 
-
-def concentration(p, *, normalized: bool = True) -> float:
-    """How much standard-normal mass a unit Gaussian bump at p retains.
-
-    The closed form is (3/4)^(D/2) * exp(-|p|^2 / 6); the normalized
-    variant is scaled by its own value at the origin, so it reads as a
-    fraction of the best case and is 1.0 at p = 0.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise DimensionError(f"point must be a vector, got ndim={p.ndim}")
-    value = float(np.exp(-(p @ p) / 6.0))
-    if normalized:
-        return value
-    return float((3.0 / 4.0) ** (p.shape[0] / 2.0)) * value

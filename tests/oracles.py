@@ -4,7 +4,7 @@ Everything here exists to check the fast paths from the outside: plain
 Python loops instead of vectorized statistics and ranks, exhaustive
 search and row-by-row re-solves instead of the assignment solver,
 finite differences instead of the hand-written backward pass, grid
-quadrature instead of the closed-form concentration value.  None of it
+quadrature beside the closed-form concentration value it checks.  None of it
 shares code with the modules under test beyond the model's parameter
 layout, except the earlier Spearman path, kept as a composition of the
 public ranks and Pearson functions; none of it is built for speed.  It
@@ -41,6 +41,7 @@ __all__ = [
     "model_param_vector",
     "with_param_vector",
     "fd_model_gradient",
+    "concentration",
     "quadrature_P",
     "ks_statistic",
     "linear_fit_residual",
@@ -414,7 +415,23 @@ def fd_model_gradient(
 
 
 # ---------------------------------------------------------------------------
-# quadrature of the concentration integral
+# the concentration integral: closed form and quadrature
+
+
+def concentration(p, *, normalized: bool = True) -> float:
+    """How much standard-normal mass a unit Gaussian bump at p retains.
+
+    The closed form is (3/4)^(D/2) * exp(-|p|^2 / 6); the normalized
+    variant is scaled by its own value at the origin, so it reads as a
+    fraction of the best case and is 1.0 at p = 0.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise DimensionError(f"point must be a vector, got ndim={p.ndim}")
+    value = float(np.exp(-(p @ p) / 6.0))
+    if normalized:
+        return value
+    return float((3.0 / 4.0) ** (p.shape[0] / 2.0)) * value
 
 
 def quadrature_P(p, *, step: float = 0.02, bound: float = 8.0) -> float:

@@ -333,6 +333,8 @@ _NOT_AN_OBJECT = "[1, 2]\n"
 _PIPELINE = ('{"d": 2, "seed": %s, "stages": [{"q": [[1, 0], [0, 1]], "parity": "odd", '
              '"phi": {"w1": [[0, 0]], "b1": [0, 0], "w2": [[0, 0], [0, 0]], "b2": [0, 0], '
              '"w3": [[0], [0]], "b3": [0]}}]}\n')
+# the same pipeline with a NaN in its stage matrix
+_NAN_PIPELINE = (_PIPELINE % "0").replace('"q": [[1, 0]', '"q": [[NaN, 0]')
 _MODEL = ('{"d": %s, "config": {"hidden_sizes": []}, '
           '"encoder": {"w1": [[1, 0], [0, 1]], "b1": [0, 0]}, '
           '"decoder": {"w1": [[1, 0], [0, 1]], "b1": [0, 0]}}\n')
@@ -349,6 +351,7 @@ _MODEL = ('{"d": %s, "config": {"hidden_sizes": []}, '
                     '"w3": [[0], [0]], "b3": [0], "w4": [[0]]}}]}\n'),
     (load_pipeline, _PIPELINE % "true"),
     (load_pipeline, _PIPELINE % "-5"),
+    (load_pipeline, _NAN_PIPELINE),
     (load_model, _MODEL % "2.0"),
     (load_model, _NOT_AN_OBJECT),
     (load_model, '{"d": 2, "config": {}, "encoder": {}}\n'),
@@ -373,6 +376,18 @@ def test_loader_rejects_malformed_json_object(tmp_path, monkeypatch, load, text)
     path.write_text(text)
     with pytest.raises(FileFormatError):
         load(path)
+
+
+def test_unmix_exact_names_the_stage_whose_matrix_holds_nan(tmp_path, monkeypatch, capsys):
+    """A NaN orthogonality defect is rejected at load, so the error names
+    the pipeline file and its stage, not the data the stage would make."""
+    monkeypatch.chdir(tmp_path)
+    _generate("data.csv", n=64)
+    (tmp_path / "bad.json").write_text(_NAN_PIPELINE)
+    assert main(["unmix-exact", "--data", "data.csv", "--pipeline", "bad.json"]) == 2
+    err = capsys.readouterr().err
+    assert "bad.json: stage 1: stage matrix is not orthogonal (defect nan)" in err
+    assert not (tmp_path / "recovered.csv").exists()
 
 
 def test_loaders_read_d_and_seed_as_the_option_parsers_do(tmp_path):

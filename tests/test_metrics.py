@@ -13,7 +13,6 @@ from wica_lab.core import RngStream, pearson_corr_matrix
 from wica_lab.errors import DegenerateColumnError, DimensionError, NonFiniteError
 from wica_lab.metrics import (
     ScoreReport,
-    max_corr,
     ots,
     report_to_json,
     save_report,
@@ -232,17 +231,16 @@ def test_score_at_16384_by_16_peaks_below_6_mib():
 def test_max_corr_identity_is_one():
     g = RngStream(47).split("mc").generator()
     s = g.standard_normal((200, 3))
-    value, perm = max_corr(s, s)
-    assert abs(value - 1.0) < 1e-12
-    assert list(perm) == [0, 1, 2]
+    rep = score(s, s)
+    assert abs(rep.max_corr - 1.0) < 1e-12
+    assert rep.assignment_max_corr == (0, 1, 2)
 
 
 def test_max_corr_swapped_negated_columns():
     g = RngStream(48).split("mc2").generator()
     s = g.standard_normal((200, 2))
     z = -s[:, [1, 0]]
-    value, _ = max_corr(z, s)
-    assert abs(value - 1.0) < 1e-12
+    assert abs(score(z, s).max_corr - 1.0) < 1e-12
 
 
 def test_max_corr_equals_brute_force_over_permutations():
@@ -250,7 +248,7 @@ def test_max_corr_equals_brute_force_over_permutations():
     for d in (2, 4, 6):
         z = g.standard_normal((80, d))
         s = g.standard_normal((80, d))
-        value, _ = max_corr(z, s)
+        value = score(z, s).max_corr
         p = np.abs(pearson_corr_matrix(z, s))
         best = max(
             float(np.mean([p[pi[j], j] for j in range(d)]))
@@ -263,8 +261,8 @@ def test_max_corr_affine_invariance():
     g = RngStream(50).split("mc4").generator()
     s = g.standard_normal((300, 3))
     z = g.standard_normal((300, 3)) + 0.5 * s
-    v1, _ = max_corr(z, s)
-    v2, _ = max_corr(z * np.array([2.0, -0.3, 10.0]) + 1.0, s)
+    v1 = score(z, s).max_corr
+    v2 = score(z * np.array([2.0, -0.3, 10.0]) + 1.0, s).max_corr
     assert abs(v1 - v2) < 1e-10
 
 
@@ -274,7 +272,7 @@ def test_max_corr_rejects_constant_column():
     z = s.copy()
     z[:, 0] = 3.14
     with pytest.raises(DegenerateColumnError):
-        max_corr(z, s)
+        score(z, s)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +297,6 @@ def test_report_assignment_convention():
     rep = score(z, s)
     assert rep.assignment_ots == (2, 0, 1)
     assert rep.assignment_max_corr == (2, 0, 1)
-
-
-def test_score_max_corr_equals_max_corr():
-    """score reuses its Pearson matrix for max_corr: same value and
-    assignment, bit for bit, as calling max_corr on its own."""
-    g = RngStream(56).split("mc").generator()
-    for d in (2, 4, 7):
-        s = g.standard_normal((300, d))
-        z = np.tanh(s @ g.standard_normal((d, d))) + 0.1 * g.standard_normal((300, d))
-        for zz in (z, s[:, ::-1]):
-            rep = score(zz, s)
-            value, perm = max_corr(zz, s)
-            assert rep.max_corr == value
-            assert rep.assignment_max_corr == tuple(int(k) for k in perm)
 
 
 def test_report_values_recomputable_from_matrices():

@@ -11,6 +11,7 @@ from wica_lab.errors import DimensionError, FileFormatError, NumericalError
 from oracles import (
     CalibrationRecord,
     brute_assignment,
+    concentration,
     fd_gradient,
     fd_jacobian,
     ks_statistic,
@@ -147,7 +148,7 @@ def test_fd_jacobian_rejects_nonfinite():
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# the concentration integral: quadrature and closed form
 
 
 def test_quadrature_at_origin():
@@ -170,6 +171,30 @@ def test_quadrature_is_grid_stable():
 def test_quadrature_rejects_wrong_dimension():
     with pytest.raises(DimensionError):
         quadrature_P(np.zeros(3))
+
+
+def test_concentration_normalization_maximum_at_origin():
+    assert concentration(np.zeros(4)) == 1.0
+
+
+def test_concentration_closed_form_at_norm_six():
+    p = np.sqrt(6.0) * np.array([1.0, 0.0])
+    assert abs(concentration(p) - np.exp(-1.0)) < 1e-12
+
+
+def test_concentration_matches_quadrature():
+    g = RngStream(39).split("quad").generator()
+    for _ in range(3):
+        p = g.standard_normal(2)
+        numeric = quadrature_P(p)
+        closed = concentration(p, normalized=False)
+        assert abs(numeric - closed) / closed < 1e-3
+
+
+def test_unnormalized_concentration_prefactor():
+    # the d-dependent prefactor (3/4)^{d/2} at the origin
+    assert abs(concentration(np.zeros(2), normalized=False) - 0.75) < 1e-15
+    assert abs(concentration(np.zeros(4), normalized=False) - 0.75**2) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Weighted independence index: weights, coefficients, estimator, concentration."""
+"""Weighted independence index: weights, coefficients, estimator."""
 
 import json
 import tracemalloc
@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wica_lab.core import RngStream, normalize_componentwise, weighted_cov
+from wica_lab.core import RngStream, _weighted_moments, normalize_componentwise
 from wica_lab.errors import (
     DimensionError,
     FileFormatError,
@@ -17,19 +17,18 @@ from wica_lab.errors import (
 )
 from wica_lab.wii import (
     WiiConfig,
-    concentration,
-    dependence_coefficients,
     sample_weighting_points,
     wii_at_point,
     wii_index,
     wii_multi,
+    _coefficients,
     _log_weights,
     _points_backward,
     _points_forward,
     _weights,
 )
 
-from oracles import load_record, loop_point_index, loop_weighting_points, quadrature_P
+from oracles import load_record, loop_point_index, loop_weighting_points
 
 DATA = Path(__file__).parent / "data"
 
@@ -88,20 +87,20 @@ def test_weight_collapse_raises_with_context():
 
 
 def test_coefficients_zero_for_diagonal_covariance():
-    c = dependence_coefficients(np.diag([2.0, 0.5, 1.0]))
+    c = _coefficients(np.diag([2.0, 0.5, 1.0]))
     assert np.max(np.abs(c)) == 0.0
 
 
 def test_coefficients_reach_one_at_equal_variances():
     # z12^2 = z11*z22 and z11 = z22 forces c = 2z12^2/(2 z11^2) = 1
     z = np.array([[1.0, 1.0], [1.0, 1.0]])
-    c = dependence_coefficients(z)
+    c = _coefficients(z)
     assert abs(c[0, 1] - 1.0) < 1e-15
 
 
 def test_coefficients_dead_pair_is_zero_not_error():
     z = np.zeros((2, 2))
-    c = dependence_coefficients(z)
+    c = _coefficients(z)
     assert np.all(c == 0.0)
 
 
@@ -113,11 +112,11 @@ def test_coefficient_bounded_by_squared_correlation():
         d = int(g.integers(2, 5))
         x = g.standard_normal((n, d))
         w = g.random(n) + 1e-6
-        z = weighted_cov(x, w)
+        z = _weighted_moments(x, w[None], w.sum(keepdims=True))[2][0]
         var = np.diag(z)
         if np.any(var <= 0.0):
             continue
-        c = dependence_coefficients(z)
+        c = _coefficients(z)
         rho2 = z**2 / np.outer(var, var)
         np.fill_diagonal(rho2, 0.0)
         assert np.all(c <= rho2 + 1e-12)
@@ -129,10 +128,10 @@ def test_equal_variance_scaling_achieves_equality():
         x = g.standard_normal((40, 2))
         x[:, 1] = 0.6 * x[:, 0] + 0.8 * x[:, 1]
         w = g.random(40) + 0.05
-        z = weighted_cov(x, w)
+        z = _weighted_moments(x, w[None], w.sum(keepdims=True))[2][0]
         x[:, 1] *= np.sqrt(z[0, 0] / z[1, 1])
-        z = weighted_cov(x, w)
-        c = dependence_coefficients(z)[0, 1]
+        z = _weighted_moments(x, w[None], w.sum(keepdims=True))[2][0]
+        c = _coefficients(z)[0, 1]
         rho2 = z[0, 1] ** 2 / (z[0, 0] * z[1, 1])
         assert abs(c - rho2) < 1e-10
 
@@ -215,14 +214,15 @@ def test_wii_at_point_is_the_one_point_kernel():
 
 @pytest.mark.parametrize("d", [2, 5])
 def test_weighted_cov_is_the_kernels_covariance(d):
-    """core.weighted_cov is the index's moment kernel on a one-row weight
-    stack: under each point's Gaussian weights it gives the covariance the
-    kernel caches, bit for bit."""
+    """The moment kernel on a one-row weight stack: under each point's
+    Gaussian weights it gives the covariance the K-point stack caches, bit
+    for bit."""
     y, points = _kernel_case(d, 2 * d)
     w = _weights(_log_weights(y, points))[0]
     z = _points_forward(y, points)[2][4]
     for k in range(len(points)):
-        assert weighted_cov(y, w[k]).tobytes() == z[k].tobytes()
+        one = w[k][None]
+        assert _weighted_moments(y, one, one.sum(axis=1))[2][0].tobytes() == z[k].tobytes()
 
 
 def test_sample_weighting_points_shape_and_determinism():
@@ -332,31 +332,3 @@ def test_independence_holds_at_every_weighting_point():
     values = [wii_at_point(x, p) for p in pts]
     assert max(values) < rec.threshold
     assert abs(max(values) - rec.measured["max_over_points"]) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# concentration diagnostic
-
-
-def test_concentration_normalization_maximum_at_origin():
-    assert concentration(np.zeros(4)) == 1.0
-
-
-def test_concentration_closed_form_at_norm_six():
-    p = np.sqrt(6.0) * np.array([1.0, 0.0])
-    assert abs(concentration(p) - np.exp(-1.0)) < 1e-12
-
-
-def test_concentration_matches_quadrature():
-    g = RngStream(39).split("quad").generator()
-    for _ in range(3):
-        p = g.standard_normal(2)
-        numeric = quadrature_P(p)
-        closed = concentration(p, normalized=False)
-        assert abs(numeric - closed) / closed < 1e-3
-
-
-def test_unnormalized_concentration_prefactor():
-    # the d-dependent prefactor (3/4)^{d/2} at the origin
-    assert abs(concentration(np.zeros(2), normalized=False) - 0.75) < 1e-15
-    assert abs(concentration(np.zeros(4), normalized=False) - 0.75**2) < 1e-15
