@@ -33,7 +33,7 @@ import numpy as np
 
 from . import datagen, metrics, mixer, trainer, wii
 from .core import (
-    RngStream, _at_least, _bool, _choice, _distinct, _int, _int_list, _list_of, _object, _parse,
+    RngStream, _at_least, _bool, _choice, _distinct, _int, _list_of, _object, _parse,
     _parse_options, _read_json_object, _str, as_data, load_csv, normalize_componentwise, save_csv,
 )
 from .errors import DimensionError, FileFormatError, NonFiniteError, WicaError
@@ -45,25 +45,13 @@ __all__ = ["main"]
 # manifest plumbing
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _sha256_file(path: Path) -> str:
-    return _sha256_bytes(path.read_bytes())
-
-
-def _canonical(config: dict) -> str:
-    return json.dumps(config, sort_keys=True)
-
-
 def _write_manifest(primary: Path, command: str, config: dict, inputs: list[Path],
                     outputs: list[Path]) -> None:
     doc = {
         "command": command,
         "config": config,
-        "config_hash": _sha256_bytes(_canonical(config).encode()),
-        "inputs": {str(p): _sha256_file(p) for p in sorted(inputs)},
+        "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(inputs)},
         "outputs": sorted(str(p) for p in outputs),
     }
     manifest = primary.with_name(primary.name + ".manifest.json")
@@ -126,7 +114,9 @@ _WII = {
     "data": (_str, _REQUIRED), **_config_options(wii.WiiConfig), "seed": (_int, 0),
     "out": (_str, "wii.json"),
 }
-_PLOT_DATA = {"data": (_str, _REQUIRED), "out_dir": (_str, "plots"), "cols": (_int_list, (0, 1))}
+_PLOT_DATA = {
+    "data": (_str, _REQUIRED), "out_dir": (_str, "plots"), "cols": (_list_of(_int), (0, 1)),
+}
 # each grid cell trains with its own seed from "seeds"
 _BENCH_TRAIN = _config_options(trainer.TrainConfig, "seed")
 _BENCH = {

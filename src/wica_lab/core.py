@@ -293,11 +293,6 @@ def sample_haar_orthogonal(d: int, rng: RngStream) -> np.ndarray:
 # random streams
 
 
-def _tag_key(tag: str) -> int:
-    # crc32 is stable across platforms and python versions, unlike hash()
-    return zlib.crc32(tag.encode("utf-8"))
-
-
 class RngStream:
     """Named, splittable random stream on a counter-based generator.
 
@@ -311,7 +306,8 @@ class RngStream:
         if self.seed < 0:
             raise DimensionError(f"seed must be nonnegative, got {self.seed}")
         self.path = tuple(_path)
-        entropy = [self.seed] + [_tag_key(t) for t in self.path]
+        # crc32 is stable across platforms and python versions, unlike hash()
+        entropy = [self.seed] + [zlib.crc32(t.encode("utf-8")) for t in self.path]
         self._gen = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy))
         )
@@ -472,9 +468,6 @@ def _list_of(parse):
         return tuple(parse(v) for v in value)
     parse_list.metavar = "N,N,..."
     return parse_list
-
-
-_int_list = _list_of(_int)
 
 
 def _object(value) -> dict:

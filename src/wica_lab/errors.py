@@ -34,9 +34,9 @@ class NonFiniteError(WicaError, ValueError):
 class DegenerateColumnError(WicaError):
     """A data column is constant where variation is required."""
 
-    def __init__(self, column: int, message: str | None = None) -> None:
+    def __init__(self, column: int) -> None:
         self.column = column
-        super().__init__(message or f"column {column} is constant")
+        super().__init__(f"column {column} is constant")
 
 
 class WeightCollapseError(WicaError):

@@ -20,20 +20,18 @@ bit for bit.  A step runs the encoder once, through the public
 mlp_forward: the code it returns is normalized once, the points are drawn
 from it, and the cost and its gradient reuse that code's activations and
 normalization, so a retry after the points collapse redraws only the
-points.  All parameters live in one vector, AutoEncoderModel.theta:
-encoder weights, encoder biases, decoder weights, decoder biases, each in
-layer order and row-major; every weight and bias is a view into it, and
+points.  wica_cost and cost_gradient set up their inputs through the same
+mlp_forward call, so their batch is checked where train's is.
+
+All parameters live in one vector, AutoEncoderModel.theta: encoder
+weights, encoder biases, decoder weights, decoder biases, each in layer
+order and row-major; every weight and bias is a view into it, and
 cost_gradient returns this layout.  The one feed-forward net, MlpParams
 with init_mlp, its forward pass and its JSON layout, is also the mixer's
 coupling net.
 
-Every forward pass is one layer loop over blocks of rows (_mlp_forward).
-A pass that keeps activations for the backward pass (the step's encoder
-pass and the cost's decoder pass) runs all rows as one block.  A pass
-that keeps none runs 4096-row blocks at width 128, each hidden layer
-writing a view of one of two reused 2-D buffers, so encoding a full
-sample holds one block-sized layer output rather than two sample-sized
-ones, with the bytes of one call.
+Every forward pass is one layer loop over blocks of rows; _mlp_forward's
+docstring gives the block layout and why its bytes are those of one call.
 
 Nothing here calls an autodiff framework; the gradient is validated
 against central finite differences in the test suite.
@@ -61,7 +59,7 @@ from .errors import (
     TrainingDivergedError,
     WeightCollapseError,
 )
-from .wii import _points_backward, _points_forward, sample_weighting_points
+from .wii import _as_points, _points_backward, _points_forward, sample_weighting_points
 
 __all__ = [
     "MlpParams",
@@ -141,9 +139,9 @@ class AutoEncoderModel:
 
     def __post_init__(self) -> None:
         d = self.encoder.in_size
-        if self.encoder.out_size != d or self.decoder.in_size != d or self.decoder.out_size != d:
+        if d < 2 or {self.encoder.out_size, self.decoder.in_size, self.decoder.out_size} != {d}:
             raise DimensionError(
-                "encoder and decoder must both map d -> d with the same d; got "
+                "encoder and decoder must both map d -> d with the same d >= 2; got "
                 f"encoder {self.encoder.sizes}, decoder {self.decoder.sizes}"
             )
         parts = [a for m in (self.encoder, self.decoder) for a in m.weights + m.biases]
@@ -410,18 +408,10 @@ def _cost_forward_backward(
 
 
 def _cost_inputs(model: AutoEncoderModel, x, points):
-    """Check a batch and its points, run the encoder and normalize the code:
-    the inputs of _cost_forward_backward after the model."""
-    x = as_data(x, min_cols=2, name="batch")
-    points = as_data(points, name="weighting points")
-    if x.shape[1] != model.d:
-        raise DimensionError(f"model has d={model.d}, batch has {x.shape[1]} columns")
-    if points.shape[1] != model.d:
-        raise DimensionError(
-            f"weighting points must have {model.d} columns, got {points.shape[1]}"
-        )
-    enc_acts: list[np.ndarray] = []
-    code = _mlp_forward(model.encoder, x, enc_acts)
+    """Check the points, run the encoder on the batch as train does and
+    normalize the code: the inputs of _cost_forward_backward after the model."""
+    points = _as_points(points, model.d)
+    code, enc_acts = mlp_forward(model.encoder, x, return_activations=True)
     return enc_acts, _normalize_parts(code), points
 
 

@@ -30,7 +30,7 @@ from .core import (
     RngStream, _at_least, _int, _optional, _parse_fields, _weighted_moments, as_data,
     normalize_componentwise,
 )
-from .errors import DimensionError, InsufficientDataError, NonFiniteError, WeightCollapseError
+from .errors import DimensionError, InsufficientDataError, WeightCollapseError
 
 __all__ = [
     "WiiConfig",
@@ -65,13 +65,12 @@ class WiiConfig:
         return d if self.num_points is None else self.num_points
 
 
-def _as_point(p, d: int) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (d,):
-        raise DimensionError(f"weighting point must have shape ({d},), got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise NonFiniteError("weighting point contains non-finite values")
-    return p
+def _as_points(points, d: int) -> np.ndarray:
+    """Weighting points as a checked (K, d) array."""
+    points = as_data(points, name="weighting points")
+    if points.shape[1] != d:
+        raise DimensionError(f"weighting points must have {d} columns, got {points.shape[1]}")
+    return points
 
 
 def _log_weights(y: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -109,9 +108,8 @@ def _coefficients(z: np.ndarray) -> np.ndarray:
 
 
 def wii_at_point(y, p) -> float:
-    """Index of the sample reweighted by a Gaussian bump at p."""
-    y = as_data(y, min_cols=2, name="sample")
-    return float(_points_forward(y, _as_point(p, y.shape[1])[None])[0][0])
+    """Index of the sample reweighted by a Gaussian bump at p: wii_multi at p."""
+    return wii_multi(y, np.asarray(p, dtype=np.float64)[None])
 
 
 def _points_forward(y: np.ndarray, points: np.ndarray):
@@ -203,11 +201,7 @@ def wii_multi(y, points) -> float:
     index to report at all.
     """
     y = as_data(y, min_cols=2, name="sample")
-    points = as_data(points, name="weighting points")
-    if points.shape[1] != y.shape[1]:
-        raise DimensionError(
-            f"weighting points must have {y.shape[1]} columns, got {points.shape[1]}"
-        )
+    points = _as_points(points, y.shape[1])
     values = []
     for k in range(len(points)):
         try:

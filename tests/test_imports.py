@@ -1,5 +1,5 @@
-"""Every module of the package uses what it imports, and every name it
-exports is used by the package or the benchmark."""
+"""Every module of the package and of its tests uses what it imports, and
+every name the package exports is used by the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -36,7 +36,12 @@ def _unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+# the package, its tests and the fixture generator
+_CHECKED = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+_CHECKED.append(ROOT / "tests" / "data" / "regenerate.py")
+
+
+@pytest.mark.parametrize("path", _CHECKED, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -46,21 +51,58 @@ def test_an_unused_import_is_found():
     assert _unused_imports(source) == ["line 1: json", "line 3: pi"]
 
 
-def _names_read(source: str) -> set[str]:
-    """Every name a module reads, bare or as an attribute."""
-    read = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
+def _bindings(tree: ast.Module, module: str) -> dict[str, str]:
+    """Each name a module binds by an import, mapped to the dotted name it
+    stands for: import a.b binds a to a, from .m import x binds x to pkg.m.x."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom):
+            base = [node.module] if node.module else []
+            if node.level:
+                base = module.split(".")[:-node.level] + base
+            for alias in node.names:
+                bound[alias.asname or alias.name] = ".".join(base + [alias.name])
+    return bound
+
+
+def _names_read(source: str, module: str) -> set[str]:
+    """The dotted names a module reads: its own names read bare, each name it
+    imports, and m.x where m is bound to a module by an import.  An
+    attribute of anything else, such as obj.h, reads no module's h."""
+    tree = ast.parse(source)
+    bound = _bindings(tree, module)
+    read = set(bound.values())
+
+    def dotted(node) -> str | None:
+        if isinstance(node, ast.Name):
+            return bound.get(node.id, f"{module}.{node.id}")
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and f"{base}.{node.attr}"
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            read.add(dotted(node))
     return read
 
 
-def _unread_exports(source: str, readers: list[str]) -> list[str]:
-    """Names a module exports that none of the reader sources reads."""
-    read = set().union(*map(_names_read, readers))
-    return [name for name in _exported(ast.parse(source)) if name not in read]
+def _unread_exports(module: str, source: str, readers: dict[str, str]) -> list[str]:
+    """Names the module exports that none of the reader sources, keyed by
+    module name, reads; a re-exported name counts as the one it imports."""
+    tree = ast.parse(source)
+    bound = _bindings(tree, module)
+    read = set().union(*(_names_read(text, name) for name, text in readers.items()))
+    return [name for name in _exported(tree) if bound.get(name, f"{module}.{name}") not in read]
+
+
+def _module_name(path: Path) -> str:
+    """The dotted name under which a package or benchmark file is imported."""
+    return f"wica_lab.{path.stem}" if path.parent == SRC else path.stem
 
 
 # production code: the package's modules, without the re-exports of
@@ -73,10 +115,19 @@ _READERS += sorted((ROOT / "perfbench").glob("*.py"))
 def test_every_exported_name_is_read_by_production_code(path):
     """A public name that only tests call is not shipped: the tests call the
     code production runs instead."""
-    assert _unread_exports(path.read_text(), [p.read_text() for p in _READERS]) == []
+    readers = {_module_name(p): p.read_text() for p in _READERS}
+    assert _unread_exports(_module_name(path), path.read_text(), readers) == []
 
 
 def test_an_unread_export_is_found():
-    source = "__all__ = ['f', 'g', 'h', 'k']\ndef f(): pass\n"
-    readers = ["f()\n", "import m\nm.g\nh = 1\n"]
-    assert _unread_exports(source, readers) == ["h", "k"]
+    source = "__all__ = ['f', 'g', 'h', 'j', 'k']\ndef f(): pass\n"
+    readers = {
+        "pkg.m": source + "f()\n",
+        "pkg.a": "from . import m as mm\nmm.g\nh = 1\n",
+        "pkg.b": "from pkg.m import j\nk = obj.k\n",
+        "pkg.c": "obj.h\n",
+    }
+    assert _unread_exports("pkg.m", source, readers) == ["h", "k"]
+    # a re-export is read when the name it imports is
+    reexport = "from .m import g, h\n__all__ = ['g', 'h']\n"
+    assert _unread_exports("pkg.__init__", reexport, readers) == ["h"]

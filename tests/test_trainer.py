@@ -16,6 +16,7 @@ from wica_lab.errors import (
     DimensionError,
     FileFormatError,
     InsufficientDataError,
+    NonFiniteError,
     TrainingDivergedError,
     WeightCollapseError,
 )
@@ -108,6 +109,9 @@ def test_init_model_encoder_and_decoder_differ():
 def test_init_model_rejects_small_d():
     with pytest.raises(DimensionError):
         init_model(1, (8,), RngStream(0))
+    # nor can a model be built by hand at d=1, so no cost sees a 1-column batch
+    with pytest.raises(DimensionError):
+        _identity_model(1)
 
 
 def test_mlp_params_validation():
@@ -303,12 +307,22 @@ def test_cost_wii_is_the_diagnostic_index():
 
 
 def test_cost_input_validation():
+    """A batch or points of the wrong width, or with a non-finite entry, fail
+    in the cost and its gradient alike."""
     model = _identity_model(2)
-    x = np.zeros((10, 3))
-    with pytest.raises(DimensionError):
-        wica_cost(model, x, np.zeros((1, 2)), TrainConfig())
-    with pytest.raises(DimensionError):
-        wica_cost(model, np.zeros((10, 2)), np.zeros((1, 3)), TrainConfig())
+    x = RngStream(41).split("x").generator().standard_normal((10, 2))
+    bad_x, bad_p = x.copy(), np.zeros((1, 2))
+    bad_x[3, 1], bad_p[0, 0] = np.nan, np.inf
+    cases = [
+        (np.zeros((10, 3)), np.zeros((1, 2)), DimensionError),
+        (x, np.zeros((1, 3)), DimensionError),
+        (bad_x, np.zeros((1, 2)), NonFiniteError),
+        (x, bad_p, NonFiniteError),
+    ]
+    for batch, points, error in cases:
+        for call in (wica_cost, cost_gradient):
+            with pytest.raises(error):
+                call(model, batch, points, TrainConfig())
 
 
 # ---------------------------------------------------------------------------

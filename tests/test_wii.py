@@ -1,6 +1,5 @@
 """Weighted independence index: weights, coefficients, estimator."""
 
-import json
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +13,7 @@ from wica_lab.errors import (
     InsufficientDataError,
     NonFiniteError,
     WeightCollapseError,
+    WicaError,
 )
 from wica_lab.wii import (
     WiiConfig,
@@ -275,6 +275,31 @@ def test_non_finite_weighting_point_is_rejected(call, bad):
     y = RngStream(40).split("nan").generator().standard_normal((100, 2))
     with pytest.raises(NonFiniteError):
         call(y, [bad, 0.0])
+
+
+@pytest.mark.parametrize("point", [np.zeros(3), np.zeros((1, 2)), np.float64(0.0)],
+                         ids=["d+1", "1xd", "scalar"])
+def test_wii_at_point_rejects_a_point_as_wii_multi_does(point):
+    """wii_at_point is wii_multi at one point: a point of the wrong shape,
+    a scalar included, fails with the same error in both."""
+    y = RngStream(40).split("shape").generator().standard_normal((100, 2))
+    raised = []
+    for call in (wii_at_point, lambda y, p: wii_multi(y, [p])):
+        with pytest.raises(WicaError) as err:
+            call(y, point)
+        raised.append(type(err.value))
+    assert raised == [DimensionError, DimensionError]
+
+
+def test_wii_at_point_collapses_as_wii_multi_does():
+    p = np.array([4.0, 4.0])
+    y = np.array([[4.0, 4.0], [44.0, 4.0], [4.0, -38.0]])
+    with pytest.raises(WeightCollapseError) as one:
+        wii_at_point(y, p)
+    with pytest.raises(WeightCollapseError) as multi:
+        wii_multi(y, [p])
+    assert np.array_equal(one.value.point, multi.value.point)
+    assert one.value.effective_mass == multi.value.effective_mass
 
 
 def test_wii_multi_holds_one_point_at_a_time():
