@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import datagen, metrics, mixer, trainer, wii
 from .core import (
-    RngStream, _at_least, _bool, _choice, _distinct, _int, _list_of, _object, _parse,
+    RngStream, _at_least, _bool, _choice, _distinct, _int, _list_of, _object,
     _parse_options, _read_json_object, _str, as_data, load_csv, normalize_componentwise, save_csv,
 )
 from .errors import DimensionError, FileFormatError, NonFiniteError, WicaError
@@ -295,10 +294,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if not (cfg["dims"] and cfg["mixes"] and cfg["seeds"]):
         raise FileFormatError("bench needs nonempty dims, mixes and seeds lists")
     datagen.resolve_params(cfg["source_kind"], cfg["source_params"])
-    env_cap = os.environ.get("WICA_LAB_THREADS")
-    threads = cfg["threads"]
-    if env_cap is not None:
-        threads = min(threads, _parse("WICA_LAB_THREADS", _at_least(_int, 1), env_cap))
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -311,7 +306,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         except WicaError as exc:
             return key, {"status": "failed", "error": str(exc)}
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
         results = dict(pool.map(job, runs))
 
     runs_path = out_dir / "runs.csv"

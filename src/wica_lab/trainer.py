@@ -376,8 +376,8 @@ def _cost_forward_backward(
     x = enc_acts[0]
     n = x.shape[0]
     y, u, sigma, denom = norm
-    values, _, cache = _points_forward(y, points)
-    wii_value = float(np.mean(values))
+    values, cache = _points_forward(y, points)
+    wii_value = float(np.add.reduce(values) / len(values))
     dec_acts: list[np.ndarray] = []
     recon = _mlp_forward(model.decoder, enc_acts[-1], dec_acts)
     resid = recon - x

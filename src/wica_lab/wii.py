@@ -116,22 +116,23 @@ def _points_forward(y: np.ndarray, points: np.ndarray):
     """Unchecked index of y (n, d) at each of K points (K, d), skipping the
     points whose weights collapse.
 
-    Returns the survivors' values, their indices into points and the cache
-    _points_backward needs; raises the last point's WeightCollapseError if
-    every point collapses.  Each point's moments are matmul calls of its own
-    (_weighted_moments), so its value is the same bytes in any stack.
+    Returns the survivors' values and the cache _points_backward needs,
+    whose first entry is the surviving points; raises the last point's
+    WeightCollapseError if every point collapses.  Each point's moments are
+    matmul calls of its own (_weighted_moments), so its value is the same
+    bytes in any stack.
     """
     w, total, collapsed = _weights(_log_weights(y, points))
     if collapsed.all():
         raise WeightCollapseError(points[-1], float(total[-1] - 1.0))
-    live = np.flatnonzero(~collapsed)
-    if len(live) < len(points):
+    if collapsed.any():
+        live = ~collapsed
         points, w, total = points[live], w[live], total[live]
     _, centered, z = _weighted_moments(y, w, total)
     d = y.shape[1]
     # c is symmetric with zero diagonal; summing it all counts each pair twice
     values = _coefficients(z).sum(axis=(1, 2)) / (d * (d - 1))
-    return values, live, (points, w, total, centered, z)
+    return values, (points, w, total, centered, z)
 
 
 def _points_backward(y: np.ndarray, cache, coef: float) -> np.ndarray:
@@ -210,7 +211,7 @@ def wii_multi(y, points) -> float:
             last_collapse = exc
     if not values:
         raise last_collapse
-    return float(np.mean(values))
+    return float(np.add.reduce(np.asarray(values)) / len(values))
 
 
 def wii_index(x, config: WiiConfig = WiiConfig(), rng: RngStream | None = None) -> float:

@@ -193,59 +193,59 @@ def test_invalid_config_json_exits_2(tmp_path, monkeypatch):
 _GRID = ["--config", "cfg.json", "--out-dir", "grid"]
 _HUGE = "huge.csv"  # column 0 alternates +-1e308
 _MALFORMED = [
-    ("generate", ["--config", "cfg.json"], {"d": "two"}, None, "sources.csv", "d: expected"),
-    ("generate", ["--config", "cfg.json"], {"n": 64.5, "d": 2.9}, None, "sources.csv",
+    ("generate", ["--config", "cfg.json"], {"d": "two"}, "sources.csv", "d: expected"),
+    ("generate", ["--config", "cfg.json"], {"n": 64.5, "d": 2.9}, "sources.csv",
      "d: expected"),
-    ("mix", ["--data", "data.csv", "--seed", "-1"], None, None, "mixed.csv", "seed must be"),
-    ("unmix-exact", ["--data", "data.csv", "--config", "cfg.json"], {"pipeline": 5}, None,
+    ("mix", ["--data", "data.csv", "--seed", "-1"], None, "mixed.csv", "seed must be"),
+    ("unmix-exact", ["--data", "data.csv", "--config", "cfg.json"], {"pipeline": 5},
      "recovered.csv", "pipeline: expected"),
     ("train", ["--data", "data.csv", "--steps", "1", "--config", "cfg.json"],
-     {"hidden_sizes": "a,b"}, None, "model.json", "hidden_sizes: expected"),
-    ("encode", ["--data", "data.csv", "--config", "cfg.json"], {"model": 3}, None, "encoded.csv",
+     {"hidden_sizes": "a,b"}, "model.json", "hidden_sizes: expected"),
+    ("encode", ["--data", "data.csv", "--config", "cfg.json"], {"model": 3}, "encoded.csv",
      "model: expected"),
-    ("score", ["data.csv", "data.csv", "--config", "cfg.json"], {"matrices": "no"}, None,
-     "report.json", "matrices: expected"),
-    ("wii", ["--data", "data.csv", "--config", "cfg.json"], {"num_points": 1.5}, None, "wii.json",
+    ("score", ["data.csv", "data.csv", "--config", "cfg.json"], {"matrices": "no"}, "report.json",
+     "matrices: expected"),
+    ("wii", ["--data", "data.csv", "--config", "cfg.json"], {"num_points": 1.5}, "wii.json",
      "num_points: expected"),
-    ("bench", _GRID, {"train": {"stepz": 2}}, None, "grid/summary.csv", "train: unknown key"),
-    ("bench", ["--out-dir", "grid"], None, "abc", "grid/summary.csv", "WICA_LAB_THREADS: expected"),
-    ("bench", ["--out-dir", "grid"], None, "0", "grid/summary.csv",
-     "WICA_LAB_THREADS: must be >= 1, got 0"),
-    ("bench", ["--out-dir", "grid"], None, "-3", "grid/summary.csv",
-     "WICA_LAB_THREADS: must be >= 1, got -3"),
-    ("plot-data", ["--data", "data.csv", "--cols", "0"], None, None, "plots/scatter.csv",
+    ("bench", _GRID, {"train": {"stepz": 2}}, "grid/summary.csv", "train: unknown key"),
+    ("bench", ["--out-dir", "grid", "--threads", "abc"], None, "grid/summary.csv",
+     "threads: expected"),
+    ("bench", ["--out-dir", "grid", "--threads", "0"], None, "grid/summary.csv",
+     "threads: must be >= 1, got 0"),
+    ("bench", _GRID, {"threads": 0}, "grid/summary.csv", "threads: must be >= 1, got 0"),
+    ("plot-data", ["--data", "data.csv", "--cols", "0"], None, "plots/scatter.csv",
      "cols must be"),
-    ("generate", ["--kind", "sine_mixture", "--params", '{"t_max": "x"}'], None, None,
-     "sources.csv", "t_max: expected"),
-    ("generate", ["--kind", "sine_mixture", "--params", '{"tmax": 5}'], None, None,
-     "sources.csv", "unknown key 'tmax'"),
-    ("generate", ["--kind", "uniform", "--params", '{"t_max": 5}'], None, None, "sources.csv",
+    ("generate", ["--kind", "sine_mixture", "--params", '{"t_max": "x"}'], None, "sources.csv",
+     "t_max: expected"),
+    ("generate", ["--kind", "sine_mixture", "--params", '{"tmax": 5}'], None, "sources.csv",
+     "unknown key 'tmax'"),
+    ("generate", ["--kind", "uniform", "--params", '{"t_max": 5}'], None, "sources.csv",
      "unknown key 't_max'"),
     ("generate", ["--kind", "sine_mixture", "--params", '{"omega_min": 5, "omega_max": 1}'],
-     None, None, "sources.csv", "omega_min 5.0 exceeds"),
-    ("bench", _GRID, {"source_params": {"t_max": "x"}}, None, "grid/summary.csv",
+     None, "sources.csv", "omega_min 5.0 exceeds"),
+    ("bench", _GRID, {"source_params": {"t_max": "x"}}, "grid/summary.csv",
      "t_max: expected"),
     # the grid is checked before any cell runs
-    ("bench", _GRID, {"dims": [2, 2]}, None, "grid/summary.csv", "dims: repeats a value"),
-    ("bench", _GRID, {"mixes": [5, 5]}, None, "grid/summary.csv", "mixes: repeats a value"),
-    ("bench", _GRID, {"seeds": [0, 0, 1]}, None, "grid/summary.csv", "seeds: repeats a value"),
-    ("bench", _GRID, {"dims": [1]}, None, "grid/summary.csv", "dims: must be >= 2"),
-    ("bench", _GRID, {"mixes": [0]}, None, "grid/summary.csv", "mixes: must be >= 1"),
-    ("bench", _GRID, {"seeds": [-1]}, None, "grid/summary.csv", "seeds: must be >= 0"),
-    ("bench", _GRID, {"n": 1}, None, "grid/summary.csv", "n: must be >= 2"),
-    ("bench", _GRID, {"source_seed": -1}, None, "grid/summary.csv", "source_seed: must be >= 0"),
-    ("bench", _GRID, {"mix_seed": -1}, None, "grid/summary.csv", "mix_seed: must be >= 0"),
-    ("bench", _GRID, {"mix_hidden": 0}, None, "grid/summary.csv", "mix_hidden: must be >= 1"),
-    ("bench", ["--out-dir", "grid", "--threads", "-1"], None, None, "grid/summary.csv",
+    ("bench", _GRID, {"dims": [2, 2]}, "grid/summary.csv", "dims: repeats a value"),
+    ("bench", _GRID, {"mixes": [5, 5]}, "grid/summary.csv", "mixes: repeats a value"),
+    ("bench", _GRID, {"seeds": [0, 0, 1]}, "grid/summary.csv", "seeds: repeats a value"),
+    ("bench", _GRID, {"dims": [1]}, "grid/summary.csv", "dims: must be >= 2"),
+    ("bench", _GRID, {"mixes": [0]}, "grid/summary.csv", "mixes: must be >= 1"),
+    ("bench", _GRID, {"seeds": [-1]}, "grid/summary.csv", "seeds: must be >= 0"),
+    ("bench", _GRID, {"n": 1}, "grid/summary.csv", "n: must be >= 2"),
+    ("bench", _GRID, {"source_seed": -1}, "grid/summary.csv", "source_seed: must be >= 0"),
+    ("bench", _GRID, {"mix_seed": -1}, "grid/summary.csv", "mix_seed: must be >= 0"),
+    ("bench", _GRID, {"mix_hidden": 0}, "grid/summary.csv", "mix_hidden: must be >= 1"),
+    ("bench", ["--out-dir", "grid", "--threads", "-1"], None, "grid/summary.csv",
      "threads: must be >= 1"),
     # a finite column whose mean and variance overflow float64
-    ("wii", ["--data", _HUGE], None, None, "wii.json",
+    ("wii", ["--data", _HUGE], None, "wii.json",
      "column 0: standard deviation overflows float64"),
-    ("mix", ["--data", _HUGE], None, None, "mixed.csv",
+    ("mix", ["--data", _HUGE], None, "mixed.csv",
      "column 0: standard deviation overflows float64"),
-    ("score", [_HUGE, "data.csv"], None, None, "report.json",
+    ("score", [_HUGE, "data.csv"], None, "report.json",
      "moments of left column 0 and right column 0 leave float64 range"),
-    ("train", ["--data", _HUGE, "--steps", "2", "--batch-size", "32"], None, None, "model.json",
+    ("train", ["--data", _HUGE, "--steps", "2", "--batch-size", "32"], None, "model.json",
      "column 0: standard deviation overflows float64"),
 ]
 
@@ -255,10 +255,10 @@ def _malformed_id(case) -> str:
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command,argv,config,threads_env,primary,message", _MALFORMED,
+@pytest.mark.parametrize("command,argv,config,primary,message", _MALFORMED,
                          ids=[_malformed_id(case) for case in _MALFORMED])
 def test_malformed_option_exits_2(tmp_path, monkeypatch, capsys, command, argv, config,
-                                  threads_env, primary, message):
+                                  primary, message):
     monkeypatch.chdir(tmp_path)
     _generate("data.csv", n=64)
     huge = load_csv("data.csv")
@@ -266,10 +266,6 @@ def test_malformed_option_exits_2(tmp_path, monkeypatch, capsys, command, argv, 
     save_csv(_HUGE, huge)
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config) + "\n")
-    if threads_env is None:
-        monkeypatch.delenv("WICA_LAB_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("WICA_LAB_THREADS", threads_env)
     capsys.readouterr()
     assert main([command, *argv]) == 2
     err = capsys.readouterr().err
@@ -442,7 +438,6 @@ def test_golden_pipeline_transcript(tmp_path, monkeypatch):
 
 def test_golden_bench_grid(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("WICA_LAB_THREADS", raising=False)
     doc = json.loads((DATA / "bench_golden.json").read_text())
     (tmp_path / "bench.json").write_text(json.dumps(doc["config"]) + "\n")
     assert main(["bench", "--config", "bench.json", "--out-dir", "grid"]) == 0
@@ -463,7 +458,6 @@ _SMALL_BENCH = {
 
 def test_bench_partial_failure_keeps_other_cells(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("WICA_LAB_THREADS", raising=False)
     # lattice rows are n^d: fine at d=2, over the row cap at d=4
     config = {
         **_SMALL_BENCH, "dims": [2, 4], "n": 40,
@@ -482,7 +476,6 @@ def test_bench_partial_failure_keeps_other_cells(tmp_path, monkeypatch, capsys):
 
 def test_bench_threads_do_not_change_results(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("WICA_LAB_THREADS", raising=False)
     config = {**_SMALL_BENCH, "dims": [2]}
     (tmp_path / "bench.json").write_text(json.dumps(config) + "\n")
     assert main(["bench", "--config", "bench.json", "--out-dir", "one",
@@ -495,23 +488,12 @@ def test_bench_threads_do_not_change_results(tmp_path, monkeypatch):
         (tmp_path / "two" / "summary.csv").read_text()
 
 
-def test_bench_thread_env_cap(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("WICA_LAB_THREADS", "1")
-    config = {**_SMALL_BENCH, "dims": [2], "seeds": [0]}
-    (tmp_path / "bench.json").write_text(json.dumps(config) + "\n")
-    # the cap leaves one worker; the run must still succeed
-    assert main(["bench", "--config", "bench.json", "--out-dir", "grid",
-                 "--threads", "8"]) == 0
-    assert (tmp_path / "grid" / "summary.csv").exists()
-
-
 # ---------------------------------------------------------------------------
 # export lists
 
 
 @pytest.mark.parametrize("module", [
-    "wica_lab", *(f"wica_lab.{m.name}" for m in pkgutil.iter_modules(wica_lab.__path__)),
+    f"wica_lab.{m.name}" for m in pkgutil.iter_modules(wica_lab.__path__)
 ])
 def test_every_exported_name_resolves(module):
     """A stale __all__ entry breaks `from module import *`."""
@@ -522,12 +504,17 @@ def test_every_exported_name_resolves(module):
     assert set(mod.__all__) <= set(namespace)
 
 
-def test_importing_the_cli_leaves_concurrent_futures_unloaded():
-    """Only bench runs a thread pool, so only bench imports
-    concurrent.futures: a process that imports the CLI, to run any other
-    command, does not load it.  A child process starts from a clean
-    sys.modules."""
-    script = "import sys, wica_lab.cli; print('concurrent.futures' in sys.modules)"
+@pytest.mark.parametrize("module,unloaded", [
+    ("wica_lab.cli", "concurrent.futures"),
+    ("wica_lab.errors", "numpy"),
+    ("wica_lab.core", "wica_lab.trainer"),
+])
+def test_importing_a_module_leaves_what_it_does_not_use_unloaded(module, unloaded):
+    """Only bench runs a thread pool, so a process that imports the CLI, to
+    run any other command, does not load concurrent.futures; and since the
+    package root imports nothing, a module loads only what it imports.  A
+    child process starts from a clean sys.modules."""
+    script = f"import sys, {module}; print({unloaded!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(wica_lab.__file__).resolve().parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,

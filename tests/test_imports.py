@@ -105,10 +105,8 @@ def _module_name(path: Path) -> str:
     return f"wica_lab.{path.stem}" if path.parent == SRC else path.stem
 
 
-# production code: the package's modules, without the re-exports of
-# __init__.py, and the benchmark that times them
-_READERS = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
-_READERS += sorted((ROOT / "perfbench").glob("*.py"))
+# production code: the package's modules and the benchmark that times them
+_READERS = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -279,6 +279,17 @@ def test_cost_matches_independent_route():
     assert abs(total - (expect_rec + 0.7 * expect_wii)) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 33])
+def test_cost_wii_is_np_mean_of_the_point_values(k):
+    """The cost's index is np.mean's bytes over its points' values, each of
+    which is the cost's index at that point alone."""
+    model = _identity_model(2)
+    x = RngStream(5).split("x").generator().standard_normal((128, 2))
+    points = sample_weighting_points(normalize_componentwise(x), k, RngStream(6))
+    alone = [wica_cost(model, x, p[None], TrainConfig())[2] for p in points]
+    assert wica_cost(model, x, points, TrainConfig())[2] == float(np.mean(alone))
+
+
 def test_cost_skips_collapsed_points():
     model = _identity_model(2)
     x = RngStream(4).split("x").generator().standard_normal((128, 2))

@@ -171,10 +171,11 @@ def _kernel_case(d: int, k: int):
 def test_points_kernel_matches_per_point_loop(d, per_dim):
     k = per_dim * d or 1
     y, points = _kernel_case(d, k)
-    values, live, cache = _points_forward(y, points)
+    values, cache = _points_forward(y, points)
     d_y = _points_backward(y, cache, 0.7 / len(values))
     expect, expect_live, expect_d_y, _ = loop_point_index(y, points, 0.7 / len(values))
-    assert list(live) == expect_live == list(range(k))
+    assert expect_live == list(range(k))
+    assert np.array_equal(cache[0], points[expect_live])
     assert np.max(np.abs(values - expect) / np.abs(expect)) < 1e-13
     assert np.max(np.abs(d_y - expect_d_y)) < 1e-12 * np.max(np.abs(expect_d_y))
     # each point's value is its own: the same alone as in the stack
@@ -186,10 +187,10 @@ def test_points_kernel_matches_per_point_loop(d, per_dim):
 def test_points_kernel_skips_the_loops_collapsed_points(d):
     y, points = _kernel_case(d, 2 * d)
     points[::3] = 1e4  # far out on the diagonal: all weight on one row
-    values, live, cache = _points_forward(y, points)
+    values, cache = _points_forward(y, points)
     expect, expect_live, expect_d_y, collapse = loop_point_index(y, points)
     assert collapse is not None
-    assert list(live) == expect_live
+    assert np.array_equal(cache[0], points[expect_live])
     assert np.max(np.abs(values - expect) / np.abs(expect)) < 1e-13
     d_y = _points_backward(y, cache, 1.0)
     assert np.max(np.abs(d_y - expect_d_y)) < 1e-12 * np.max(np.abs(expect_d_y))
@@ -219,7 +220,7 @@ def test_weighted_cov_is_the_kernels_covariance(d):
     for bit."""
     y, points = _kernel_case(d, 2 * d)
     w = _weights(_log_weights(y, points))[0]
-    z = _points_forward(y, points)[2][4]
+    z = _points_forward(y, points)[1][4]
     for k in range(len(points)):
         one = w[k][None]
         assert _weighted_moments(y, one, one.sum(axis=1))[2][0].tobytes() == z[k].tobytes()
@@ -260,6 +261,14 @@ def test_wii_multi_skips_collapsed_points():
     far = np.array([1e6, 1e6])
     mixed = wii_multi(x, [good, far])
     assert mixed == clean
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 33])
+def test_wii_multi_is_np_mean_of_the_point_values(k):
+    """The mean over points is np.mean's bytes, pairwise sum included from
+    eight points on."""
+    y, points = _kernel_case(2, k)
+    assert wii_multi(y, points) == float(np.mean([wii_at_point(y, p) for p in points]))
 
 
 def test_wii_multi_raises_when_every_point_collapses():
