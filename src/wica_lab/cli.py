@@ -6,14 +6,14 @@ input digests), and never touches a wall clock, so rerunning a command
 with the same flags reproduces its artifacts byte for byte.
 
 Each subcommand declares its options once, in a table of (parser,
-default) entries; the training and wii options come from the fields of
-TrainConfig and WiiConfig, typed by those dataclasses' own parsers.  The
-table generates the subcommand's flags, and every value, from a flag, a
---config JSON file or bench's nested "train" object, is read by its
-option's parser.  A value a parser cannot read exactly or finds out of
-range, or a key the table does not declare, is a usage error.  The
-manifest records the parsed values, so a flag and a config file that
-describe the same run record the same config and config hash.
+default) entries; the training options are TrainConfig's fields, typed
+by its own parsers, and wii's num_points shares num_weighting_points'
+parser.  The table generates the subcommand's flags, and every value,
+from a flag, a --config JSON file or bench's nested "train" object, is
+read by its option's parser.  A value a parser cannot read exactly or
+finds out of range, or a key the table does not declare, is a usage
+error.  The manifest records the parsed values, so a flag and a config
+file that describe the same run record the same config and config hash.
 
 Exit codes: 0 success, 2 usage or file-format problems, 3 numerical
 failures (weight collapse, divergence, degenerate data).
@@ -110,7 +110,7 @@ _SCORE = {
     "matrices": (_bool, True),
 }
 _WII = {
-    "data": (_str, _REQUIRED), **_config_options(wii.WiiConfig), "seed": (_int, 0),
+    "data": (_str, _REQUIRED), "num_points": (wii._NUM_POINTS, None), "seed": (_int, 0),
     "out": (_str, "wii.json"),
 }
 _PLOT_DATA = {
@@ -227,14 +227,13 @@ def _cmd_wii(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _WII)
     data_path = Path(cfg["data"])
     data = _load_dataset(data_path)
-    wcfg = wii.WiiConfig(num_points=cfg["num_points"])
-    value = wii.wii_index(data, wcfg, RngStream(cfg["seed"]))
+    value = wii.wii_index(data, cfg["num_points"], RngStream(cfg["seed"]))
     out = Path(cfg["out"])
     doc = {
         "wii": value,
         "n": data.shape[0],
         "d": data.shape[1],
-        "num_points": wcfg.resolve_num_points(data.shape[1]),
+        "num_points": wii._point_count(cfg["num_points"], data.shape[1]),
         "seed": cfg["seed"],
     }
     out.write_text(json.dumps(doc, sort_keys=True) + "\n")

@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import (
     RngStream, _array_from_json, _at_least, _choice, _float, _int, _list_of, _normalize_parts,
-    _optional, _parse, _parse_fields, _read_json_object, _require_fields, as_data,
+    _parse, _parse_fields, _read_json_object, _require_fields, as_data,
     normalize_componentwise,
 )
 from .errors import (
@@ -59,7 +59,7 @@ from .errors import (
     TrainingDivergedError,
     WeightCollapseError,
 )
-from .wii import _as_points, _points_backward, _points_forward, sample_weighting_points
+from .wii import _NUM_POINTS, _as_points, _points_backward, _points_forward, sample_weighting_points
 
 __all__ = [
     "MlpParams",
@@ -187,7 +187,7 @@ class TrainConfig:
     _FIELDS: ClassVar[dict] = {
         "beta": _at_least(_float, 0.0), "batch_size": _at_least(_int, 2),
         "steps": _at_least(_int, 0), "learning_rate": _at_least(_float, 0.0, strict=True),
-        "seed": _at_least(_int, 0), "num_weighting_points": _optional(_at_least(_int, 1)),
+        "seed": _at_least(_int, 0), "num_weighting_points": _NUM_POINTS,
         "optimizer": _choice("adam", "sgd"), "log_every": _at_least(_int, 1),
         "hidden_sizes": _list_of(_at_least(_int, 1)), "rec_norm": _choice("mean", "sum"),
     }
@@ -491,7 +491,6 @@ def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
     model = init_model(d, cfg.hidden_sizes, root.split("init"))
     batch_gen = root.split("batches").generator()
     points_rng = root.split("points")
-    num_points = cfg.num_weighting_points or d
 
     opt = (_Adam if cfg.optimizer == "adam" else _Sgd)(model.theta, cfg.learning_rate)
     records: list[TraceRecord] = []
@@ -501,7 +500,7 @@ def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
         norm = _normalize_parts(code)
         outcome = None
         for _ in range(1 + _COLLAPSE_RETRIES):
-            points = sample_weighting_points(norm[0], num_points, points_rng)
+            points = sample_weighting_points(norm[0], cfg.num_weighting_points, points_rng)
             try:
                 outcome = _cost_forward_backward(
                     model, enc_acts, norm, points, cfg, need_grad=True

@@ -21,19 +21,15 @@ sample holds one point's (n, d) arrays rather than K of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 import numpy as np
 
 from .core import (
-    RngStream, _at_least, _int, _optional, _parse_fields, _weighted_moments, as_data,
+    RngStream, _at_least, _int, _optional, _parse, _weighted_moments, as_data,
     normalize_componentwise,
 )
 from .errors import DimensionError, InsufficientDataError, WeightCollapseError
 
 __all__ = [
-    "WiiConfig",
     "wii_at_point",
     "sample_weighting_points",
     "wii_multi",
@@ -46,23 +42,14 @@ __all__ = [
 _MIN_EFFECTIVE_WEIGHT = 1e-12
 
 
-@dataclass(frozen=True)
-class WiiConfig:
-    """Knobs for the index.
+# how many weighting points to draw; None, the default, means one per dimension
+_NUM_POINTS = _optional(_at_least(_int, 1))
 
-    num_points=None means one weighting point per data dimension, which
-    is the default protocol everywhere in this package.
-    """
 
-    num_points: int | None = None
-
-    _FIELDS: ClassVar[dict] = {"num_points": _optional(_at_least(_int, 1))}
-
-    def __post_init__(self) -> None:
-        _parse_fields(self, self._FIELDS)
-
-    def resolve_num_points(self, d: int) -> int:
-        return d if self.num_points is None else self.num_points
+def _point_count(num_points, d: int) -> int:
+    """num_points as _NUM_POINTS reads it, with None read as d."""
+    num_points = _parse("num_points", _NUM_POINTS, num_points)
+    return d if num_points is None else num_points
 
 
 def _as_points(points, d: int) -> np.ndarray:
@@ -172,16 +159,15 @@ def _points_backward(y: np.ndarray, cache, coef: float) -> np.ndarray:
     return d_y.sum(axis=0)
 
 
-def sample_weighting_points(y, num_points: int, rng: RngStream) -> np.ndarray:
-    """Draw weighting points as means of d distinct rows of y.
+def sample_weighting_points(y, num_points: int | None, rng: RngStream) -> np.ndarray:
+    """Draw num_points (None: d) weighting points as means of d distinct rows of y.
 
     For a normalized sample the mean of d rows is close to N(0, I/d), so
     the points concentrate where the Gaussian bump retains mass.
     """
     y = as_data(y, name="sample")
     n, d = y.shape
-    if num_points < 1:
-        raise DimensionError(f"num_points must be >= 1, got {num_points}")
+    num_points = _point_count(num_points, d)
     if n < d:
         raise InsufficientDataError(
             f"need at least d={d} rows to build a weighting point, got {n}"
@@ -214,7 +200,7 @@ def wii_multi(y, points) -> float:
     return float(np.add.reduce(np.asarray(values)) / len(values))
 
 
-def wii_index(x, config: WiiConfig = WiiConfig(), rng: RngStream | None = None) -> float:
+def wii_index(x, num_points: int | None = None, rng: RngStream | None = None) -> float:
     """Normalize x, draw weighting points from it, average the index.
 
     This is the quantity reported by diagnostics and used to calibrate
@@ -225,6 +211,6 @@ def wii_index(x, config: WiiConfig = WiiConfig(), rng: RngStream | None = None) 
     if rng is None:
         rng = RngStream(0)
     y = normalize_componentwise(x)
-    points = sample_weighting_points(y, config.resolve_num_points(x.shape[1]), rng)
+    points = sample_weighting_points(y, num_points, rng)
     return wii_multi(y, points)
 

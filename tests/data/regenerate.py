@@ -46,9 +46,11 @@ sys.path.insert(0, str(DATA_DIR.parent))  # the test-only oracles live in tests/
 from oracles import CalibrationRecord, ks_statistic, linear_fit_residual, save_record  # noqa: E402
 
 
+# the recipes keep the text of the frozen records: "WiiConfig()" in them is
+# what is now wii_index's default point count, num_points=None
 def _independent_wii() -> float:
     u = datagen.generate(datagen.SourceSpec(kind="uniform", d=2, n=10_000, seed=101))
-    return wii.wii_index(u, wii.WiiConfig(), RngStream(202))
+    return wii.wii_index(u, rng=RngStream(202))
 
 
 def wii_independent(out: Path) -> None:
@@ -66,7 +68,7 @@ def wii_independent(out: Path) -> None:
 def wii_fig1(out: Path) -> None:
     baseline = _independent_wii()
     f = datagen.generate(datagen.SourceSpec(kind="fig1_dependent", d=2, n=10_000, seed=303))
-    value = wii.wii_index(f, wii.WiiConfig(), RngStream(202))
+    value = wii.wii_index(f, rng=RngStream(202))
     pearson = float(np.corrcoef(f.T)[0, 1])
     save_record(out / "wii_fig1.json", CalibrationRecord(
         tag="wii-dependent-arcs",
@@ -247,14 +249,13 @@ def _unmix_setup() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unmix_run(x: np.ndarray, s: np.ndarray, seed: int):
-    wcfg = wii.WiiConfig()
     init_model, _ = trainer.train(
         x, trainer.TrainConfig(beta=1.0, batch_size=256, steps=0, seed=seed))
-    w_init = wii.wii_index(trainer.encode(init_model, x), wcfg, RngStream(_UNMIX_EVAL_SEED))
+    w_init = wii.wii_index(trainer.encode(init_model, x), rng=RngStream(_UNMIX_EVAL_SEED))
     model, _ = trainer.train(
         x, trainer.TrainConfig(beta=1.0, batch_size=256, steps=5000, seed=seed))
     z = trainer.encode(model, x)
-    w_fin = wii.wii_index(z, wcfg, RngStream(_UNMIX_EVAL_SEED))
+    w_fin = wii.wii_index(z, rng=RngStream(_UNMIX_EVAL_SEED))
     return metrics.score(z, s), w_init, w_fin
 
 

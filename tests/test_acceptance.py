@@ -17,7 +17,7 @@ from wica_lab.datagen import SourceSpec, generate
 from wica_lab.metrics import ots, report_to_json, score, solve_assignment
 from wica_lab.mixer import build_pipeline, mix, stage_forward, unmix_exact
 from wica_lab.trainer import TrainConfig, cost_gradient, encode, init_model, train, wica_cost
-from wica_lab.wii import WiiConfig, _coefficients, wii_index
+from wica_lab.wii import _coefficients, wii_index
 
 from oracles import (
     brute_assignment,
@@ -98,9 +98,9 @@ def test_criterion_03_index_separates_independence_from_dependence():
     base_rec = load_record(DATA / "wii_independent.json")
     arcs_rec = load_record(DATA / "wii_fig1.json")
     u = generate(SourceSpec(kind="uniform", d=2, n=base_rec.n, seed=base_rec.seed))
-    low = wii_index(u, WiiConfig(), RngStream(202))
+    low = wii_index(u, rng=RngStream(202))
     f = generate(SourceSpec(kind="fig1_dependent", d=2, n=arcs_rec.n, seed=arcs_rec.seed))
-    high = wii_index(f, WiiConfig(), RngStream(202))
+    high = wii_index(f, rng=RngStream(202))
     ok = low < base_rec.threshold and high >= arcs_rec.threshold * low
     _verdict(3, ok,
              f"independent-uniform index {low:.3e} < {base_rec.threshold}; "
@@ -268,10 +268,10 @@ def e2e_runs():
     runs = {}
     for seed in (0, 1, 2):
         init, _ = train(x, TrainConfig(beta=1.0, batch_size=256, steps=0, seed=seed))
-        w_init = wii_index(encode(init, x), WiiConfig(), RngStream(eval_seed))
+        w_init = wii_index(encode(init, x), rng=RngStream(eval_seed))
         model, _ = train(x, TrainConfig(beta=1.0, batch_size=256, steps=5000, seed=seed))
         z = encode(model, x)
-        w_final = wii_index(z, WiiConfig(), RngStream(eval_seed))
+        w_final = wii_index(z, rng=RngStream(eval_seed))
         runs[seed] = {"report": score(z, s), "w_init": w_init, "w_final": w_final}
     return {"ref": ref, "sources": s, "mixed": x, "runs": runs}
 

@@ -188,75 +188,84 @@ def test_invalid_config_json_exits_2(tmp_path, monkeypatch):
 
 
 # at least one case per subcommand: a value its option's parser cannot read
-# exactly, a value out of range, or a key no option table declares; the last
-# field is what the error line must say
+# exactly, a value out of range, or a key no option table declares.  Each
+# case is (id, command, argv, config, primary output, what the error line
+# must say); the id is written out, so adding or deleting a case leaves the
+# others' ids as they were
 _GRID = ["--config", "cfg.json", "--out-dir", "grid"]
 _HUGE = "huge.csv"  # column 0 alternates +-1e308
 _MALFORMED = [
-    ("generate", ["--config", "cfg.json"], {"d": "two"}, "sources.csv", "d: expected"),
-    ("generate", ["--config", "cfg.json"], {"n": 64.5, "d": 2.9}, "sources.csv",
+    ("generate0", "generate", ["--config", "cfg.json"], {"d": "two"}, "sources.csv",
      "d: expected"),
-    ("mix", ["--data", "data.csv", "--seed", "-1"], None, "mixed.csv", "seed must be"),
-    ("unmix-exact", ["--data", "data.csv", "--config", "cfg.json"], {"pipeline": 5},
-     "recovered.csv", "pipeline: expected"),
-    ("train", ["--data", "data.csv", "--steps", "1", "--config", "cfg.json"],
+    ("generate1", "generate", ["--config", "cfg.json"], {"n": 64.5, "d": 2.9}, "sources.csv",
+     "d: expected"),
+    ("mix", "mix", ["--data", "data.csv", "--seed", "-1"], None, "mixed.csv", "seed must be"),
+    ("unmix-exact", "unmix-exact", ["--data", "data.csv", "--config", "cfg.json"],
+     {"pipeline": 5}, "recovered.csv", "pipeline: expected"),
+    ("train", "train", ["--data", "data.csv", "--steps", "1", "--config", "cfg.json"],
      {"hidden_sizes": "a,b"}, "model.json", "hidden_sizes: expected"),
-    ("encode", ["--data", "data.csv", "--config", "cfg.json"], {"model": 3}, "encoded.csv",
-     "model: expected"),
-    ("score", ["data.csv", "data.csv", "--config", "cfg.json"], {"matrices": "no"}, "report.json",
-     "matrices: expected"),
-    ("wii", ["--data", "data.csv", "--config", "cfg.json"], {"num_points": 1.5}, "wii.json",
-     "num_points: expected"),
-    ("bench", _GRID, {"train": {"stepz": 2}}, "grid/summary.csv", "train: unknown key"),
-    ("bench", ["--out-dir", "grid", "--threads", "abc"], None, "grid/summary.csv",
+    ("encode", "encode", ["--data", "data.csv", "--config", "cfg.json"], {"model": 3},
+     "encoded.csv", "model: expected"),
+    ("score", "score", ["data.csv", "data.csv", "--config", "cfg.json"], {"matrices": "no"},
+     "report.json", "matrices: expected"),
+    ("wii", "wii", ["--data", "data.csv", "--config", "cfg.json"], {"num_points": 1.5},
+     "wii.json", "num_points: expected"),
+    ("bench0", "bench", _GRID, {"train": {"stepz": 2}}, "grid/summary.csv",
+     "train: unknown key"),
+    ("bench1", "bench", ["--out-dir", "grid", "--threads", "abc"], None, "grid/summary.csv",
      "threads: expected"),
-    ("bench", ["--out-dir", "grid", "--threads", "0"], None, "grid/summary.csv",
+    ("bench2", "bench", ["--out-dir", "grid", "--threads", "0"], None, "grid/summary.csv",
      "threads: must be >= 1, got 0"),
-    ("bench", _GRID, {"threads": 0}, "grid/summary.csv", "threads: must be >= 1, got 0"),
-    ("plot-data", ["--data", "data.csv", "--cols", "0"], None, "plots/scatter.csv",
-     "cols must be"),
-    ("generate", ["--kind", "sine_mixture", "--params", '{"t_max": "x"}'], None, "sources.csv",
-     "t_max: expected"),
-    ("generate", ["--kind", "sine_mixture", "--params", '{"tmax": 5}'], None, "sources.csv",
-     "unknown key 'tmax'"),
-    ("generate", ["--kind", "uniform", "--params", '{"t_max": 5}'], None, "sources.csv",
-     "unknown key 't_max'"),
-    ("generate", ["--kind", "sine_mixture", "--params", '{"omega_min": 5, "omega_max": 1}'],
-     None, "sources.csv", "omega_min 5.0 exceeds"),
-    ("bench", _GRID, {"source_params": {"t_max": "x"}}, "grid/summary.csv",
+    ("bench3", "bench", _GRID, {"threads": 0}, "grid/summary.csv",
+     "threads: must be >= 1, got 0"),
+    ("plot-data", "plot-data", ["--data", "data.csv", "--cols", "0"], None,
+     "plots/scatter.csv", "cols must be"),
+    ("generate2", "generate", ["--kind", "sine_mixture", "--params", '{"t_max": "x"}'], None,
+     "sources.csv", "t_max: expected"),
+    ("generate3", "generate", ["--kind", "sine_mixture", "--params", '{"tmax": 5}'], None,
+     "sources.csv", "unknown key 'tmax'"),
+    ("generate4", "generate", ["--kind", "uniform", "--params", '{"t_max": 5}'], None,
+     "sources.csv", "unknown key 't_max'"),
+    ("generate5", "generate",
+     ["--kind", "sine_mixture", "--params", '{"omega_min": 5, "omega_max": 1}'], None,
+     "sources.csv", "omega_min 5.0 exceeds"),
+    ("bench4", "bench", _GRID, {"source_params": {"t_max": "x"}}, "grid/summary.csv",
      "t_max: expected"),
     # the grid is checked before any cell runs
-    ("bench", _GRID, {"dims": [2, 2]}, "grid/summary.csv", "dims: repeats a value"),
-    ("bench", _GRID, {"mixes": [5, 5]}, "grid/summary.csv", "mixes: repeats a value"),
-    ("bench", _GRID, {"seeds": [0, 0, 1]}, "grid/summary.csv", "seeds: repeats a value"),
-    ("bench", _GRID, {"dims": [1]}, "grid/summary.csv", "dims: must be >= 2"),
-    ("bench", _GRID, {"mixes": [0]}, "grid/summary.csv", "mixes: must be >= 1"),
-    ("bench", _GRID, {"seeds": [-1]}, "grid/summary.csv", "seeds: must be >= 0"),
-    ("bench", _GRID, {"n": 1}, "grid/summary.csv", "n: must be >= 2"),
-    ("bench", _GRID, {"source_seed": -1}, "grid/summary.csv", "source_seed: must be >= 0"),
-    ("bench", _GRID, {"mix_seed": -1}, "grid/summary.csv", "mix_seed: must be >= 0"),
-    ("bench", _GRID, {"mix_hidden": 0}, "grid/summary.csv", "mix_hidden: must be >= 1"),
-    ("bench", ["--out-dir", "grid", "--threads", "-1"], None, "grid/summary.csv",
+    ("bench5", "bench", _GRID, {"dims": [2, 2]}, "grid/summary.csv", "dims: repeats a value"),
+    ("bench6", "bench", _GRID, {"mixes": [5, 5]}, "grid/summary.csv",
+     "mixes: repeats a value"),
+    ("bench7", "bench", _GRID, {"seeds": [0, 0, 1]}, "grid/summary.csv",
+     "seeds: repeats a value"),
+    ("bench8", "bench", _GRID, {"dims": [1]}, "grid/summary.csv", "dims: must be >= 2"),
+    ("bench9", "bench", _GRID, {"mixes": [0]}, "grid/summary.csv", "mixes: must be >= 1"),
+    ("bench10", "bench", _GRID, {"seeds": [-1]}, "grid/summary.csv", "seeds: must be >= 0"),
+    ("bench11", "bench", _GRID, {"n": 1}, "grid/summary.csv", "n: must be >= 2"),
+    ("bench12", "bench", _GRID, {"source_seed": -1}, "grid/summary.csv",
+     "source_seed: must be >= 0"),
+    ("bench13", "bench", _GRID, {"mix_seed": -1}, "grid/summary.csv",
+     "mix_seed: must be >= 0"),
+    ("bench14", "bench", _GRID, {"mix_hidden": 0}, "grid/summary.csv",
+     "mix_hidden: must be >= 1"),
+    ("bench15", "bench", ["--out-dir", "grid", "--threads", "-1"], None, "grid/summary.csv",
      "threads: must be >= 1"),
     # a finite column whose mean and variance overflow float64
-    ("wii", ["--data", _HUGE], None, "wii.json",
+    ("wii-overflow", "wii", ["--data", _HUGE], None, "wii.json",
      "column 0: standard deviation overflows float64"),
-    ("mix", ["--data", _HUGE], None, "mixed.csv",
+    ("mix-overflow", "mix", ["--data", _HUGE], None, "mixed.csv",
      "column 0: standard deviation overflows float64"),
-    ("score", [_HUGE, "data.csv"], None, "report.json",
+    ("score-overflow", "score", [_HUGE, "data.csv"], None, "report.json",
      "moments of left column 0 and right column 0 leave float64 range"),
-    ("train", ["--data", _HUGE, "--steps", "2", "--batch-size", "32"], None, "model.json",
-     "column 0: standard deviation overflows float64"),
+    ("train-overflow", "train", ["--data", _HUGE, "--steps", "2", "--batch-size", "32"], None,
+     "model.json", "column 0: standard deviation overflows float64"),
 ]
-
-
-def _malformed_id(case) -> str:
-    return case[0] + ("-overflow" if _HUGE in case[1] else "")
+assert len({case[0] for case in _MALFORMED}) == len(_MALFORMED), "two cases share an id"
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command,argv,config,primary,message", _MALFORMED,
-                         ids=[_malformed_id(case) for case in _MALFORMED])
+@pytest.mark.parametrize("command,argv,config,primary,message",
+                         [case[1:] for case in _MALFORMED],
+                         ids=[case[0] for case in _MALFORMED])
 def test_malformed_option_exits_2(tmp_path, monkeypatch, capsys, command, argv, config,
                                   primary, message):
     monkeypatch.chdir(tmp_path)

@@ -8,7 +8,7 @@ import pytest
 from wica_lab.core import RngStream, normalize_componentwise, pearson_corr_matrix
 from wica_lab.datagen import KINDS, SourceSpec, generate
 from wica_lab.errors import DimensionError, FileFormatError
-from wica_lab.wii import WiiConfig, wii_index
+from wica_lab.wii import wii_index
 
 from oracles import load_record
 
@@ -171,11 +171,11 @@ def test_dependent_arcs_trip_the_weighted_index():
     baseline = load_record(DATA / "wii_independent.json")
 
     x = generate(SourceSpec(kind="fig1_dependent", d=2, n=record.n, seed=record.seed))
-    value = wii_index(x, WiiConfig(), RngStream(202))
+    value = wii_index(x, rng=RngStream(202))
     assert abs(value - record.measured["wii"]) < 1e-12
 
     base = generate(SourceSpec(kind="uniform", d=2, n=baseline.n, seed=baseline.seed))
-    base_value = wii_index(base, WiiConfig(), RngStream(202))
+    base_value = wii_index(base, rng=RngStream(202))
     assert abs(base_value - record.measured["baseline_wii"]) < 1e-12
 
     assert value / base_value >= record.threshold

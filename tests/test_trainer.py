@@ -631,8 +631,9 @@ def _counting(monkeypatch, name: str, calls: list, override=None):
 
 
 def _far_points(y, num_points, rng):
-    # every weight but the nearest row's underflows, so each point collapses
-    return np.full((num_points, y.shape[1]), 1e3)
+    # every weight but the nearest row's underflows, so each point collapses;
+    # train passes its config's num_weighting_points, None meaning d
+    return np.full((num_points or y.shape[1], y.shape[1]), 1e3)
 
 
 def test_train_runs_the_encoder_once_per_step(monkeypatch):

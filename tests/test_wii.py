@@ -15,8 +15,8 @@ from wica_lab.errors import (
     WeightCollapseError,
     WicaError,
 )
+from wica_lab.trainer import TrainConfig
 from wica_lab.wii import (
-    WiiConfig,
     sample_weighting_points,
     wii_at_point,
     wii_index,
@@ -328,23 +328,37 @@ def test_wii_multi_holds_one_point_at_a_time():
 def test_wii_index_deterministic_and_affine_invariant():
     g = RngStream(38).split("det").generator()
     x = g.standard_normal((800, 3))
-    cfg = WiiConfig()
-    v1 = wii_index(x, cfg, RngStream(5))
-    v2 = wii_index(x, cfg, RngStream(5))
+    v1 = wii_index(x, rng=RngStream(5))
+    v2 = wii_index(x, rng=RngStream(5))
     assert v1 == v2
     y = x * np.array([4.0, 0.2, 7.0]) + np.array([3.0, -1.0, 0.5])
-    v3 = wii_index(y, cfg, RngStream(5))
+    v3 = wii_index(y, rng=RngStream(5))
     assert abs(v3 - v1) < 1e-10
 
 
-def test_wii_config_defaults_num_points_to_dimension():
-    cfg = WiiConfig()
-    assert cfg.resolve_num_points(5) == 5
-    assert WiiConfig(num_points=3).resolve_num_points(5) == 3
-    with pytest.raises(DimensionError):
-        WiiConfig(num_points=0)
-    with pytest.raises(FileFormatError):
-        WiiConfig(num_points=1.5)
+def test_num_points_defaults_to_dimension():
+    x = RngStream(40).split("default").generator().standard_normal((300, 3))
+    y = normalize_componentwise(x)
+    assert (sample_weighting_points(y, None, RngStream(8)).tobytes()
+            == sample_weighting_points(y, 3, RngStream(8)).tobytes())
+    assert sample_weighting_points(y, 5, RngStream(8)).shape == (5, 3)
+    assert wii_index(x, None, RngStream(8)) == wii_index(x, 3, RngStream(8))
+    assert wii_index(x, rng=RngStream(8)) == wii_index(x, 3, RngStream(8))
+
+
+@pytest.mark.parametrize("value,error", [
+    (0, DimensionError), (-2, DimensionError), (1.5, FileFormatError), (True, FileFormatError),
+])
+def test_num_points_reads_like_num_weighting_points(value, error):
+    """One parser reads the point count for wii_index, sample_weighting_points
+    and TrainConfig, and each names its own key."""
+    x = RngStream(41).split("bad").generator().standard_normal((64, 2))
+    with pytest.raises(error, match="^num_points: "):
+        wii_index(x, value, RngStream(0))
+    with pytest.raises(error, match="^num_points: "):
+        sample_weighting_points(x, value, RngStream(0))
+    with pytest.raises(error, match="^num_weighting_points: "):
+        TrainConfig(num_weighting_points=value)
 
 
 def test_independent_data_stays_below_calibrated_threshold():
@@ -352,7 +366,7 @@ def test_independent_data_stays_below_calibrated_threshold():
     from wica_lab.datagen import SourceSpec, generate
 
     u = generate(SourceSpec(kind="uniform", d=2, n=10_000, seed=101))
-    value = wii_index(u, WiiConfig(), RngStream(202))
+    value = wii_index(u, rng=RngStream(202))
     assert value < rec.threshold
     assert abs(value - rec.measured["wii"]) < 1e-12
 
