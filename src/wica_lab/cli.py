@@ -6,14 +6,15 @@ input digests), and never touches a wall clock, so rerunning a command
 with the same flags reproduces its artifacts byte for byte.
 
 Each subcommand declares its options once, in a table of (parser,
-default) entries; the training options are TrainConfig's fields, typed
-by its own parsers, and wii's num_points shares num_weighting_points'
-parser.  The table generates the subcommand's flags, and every value,
-from a flag, a --config JSON file or bench's nested "train" object, is
-read by its option's parser.  A value a parser cannot read exactly or
-finds out of range, or a key the table does not declare, is a usage
-error.  The manifest records the parsed values, so a flag and a config
-file that describe the same run record the same config and config hash.
+default) entries registered with it; the training options are
+TrainConfig's fields, typed by its own parsers.  The table generates the
+flags, and main resolves the table registered with each subcommand:
+every value, from a flag, a positional, a --config JSON file or bench's
+"train" object, is read by its option's parser.  A value a parser cannot
+read exactly or finds out of range, or a key the table does not declare,
+is a usage error.  main passes the command its parsed config and records
+the manifest under the command's name, so a flag and a config file that
+describe the same run record the same config and config hash.
 
 Exit codes: 0 success, 2 usage or file-format problems, 3 numerical
 failures (weight collapse, divergence, degenerate data).
@@ -25,14 +26,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import datagen, metrics, mixer, trainer, wii
 from .core import (
-    RngStream, _at_least, _bool, _choice, _distinct, _int, _list_of, _object,
+    RngStream, _at_least, _bool, _choice, _config_options, _distinct, _int, _list_of, _object,
     _parse_options, _read_json_object, _str, as_data, load_csv, normalize_componentwise, save_csv,
 )
 from .errors import DimensionError, FileFormatError, NonFiniteError, WicaError
@@ -44,7 +45,7 @@ __all__ = ["main"]
 # manifest plumbing
 
 
-def _write_manifest(primary: Path, command: str, config: dict, inputs: list[Path],
+def _write_manifest(command: str, config: dict, inputs: list[Path],
                     outputs: list[Path]) -> None:
     doc = {
         "command": command,
@@ -53,7 +54,7 @@ def _write_manifest(primary: Path, command: str, config: dict, inputs: list[Path
         "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(inputs)},
         "outputs": sorted(str(p) for p in outputs),
     }
-    manifest = primary.with_name(primary.name + ".manifest.json")
+    manifest = outputs[0].with_name(outputs[0].name + ".manifest.json")
     manifest.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -69,23 +70,18 @@ _REQUIRED = object()  # default of an option every run must set
 
 
 def _resolve(args: argparse.Namespace, table: dict) -> dict:
-    """defaults < config file < explicit flags, unknown keys rejected."""
+    """defaults < config file < flags < a positional <key>_pos; unknown keys rejected."""
     given = {} if args.config is None else _read_json_object(args.config)
-    given.update({key: getattr(args, key) for key in table if getattr(args, key, None) is not None})
+    for key in table:
+        value = getattr(args, f"{key}_pos", None)
+        value = getattr(args, key, None) if value is None else value
+        if value is not None:
+            given[key] = value
     cfg = _parse_options(table, given)
     missing = [f"--{key.replace('_', '-')}" for key, value in cfg.items() if value is _REQUIRED]
     if missing:
         raise FileFormatError(f"{args.command} needs {' and '.join(missing)}")
     return cfg
-
-
-def _config_options(config_cls, *skip: str) -> dict:
-    """The fields of a config dataclass as (parser, default) entries, typed
-    by the dataclass's own parsers, with its defaults."""
-    return {
-        key: (config_cls._FIELDS[key], default)
-        for key, default in asdict(config_cls()).items() if key not in skip
-    }
 
 
 _GENERATE = {
@@ -137,19 +133,17 @@ _BENCH = {
 # subcommands
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _GENERATE)
+def _cmd_generate(cfg: dict, record) -> int:
     spec = datagen.SourceSpec(cfg["kind"], cfg["d"], cfg["n"], cfg["seed"], cfg["params"])
     data = datagen.generate(spec)
     out = Path(cfg["out"])
     save_csv(out, data)
-    _write_manifest(out, "generate", cfg, [], [out])
+    record([], [out])
     print(f"wrote {out}: {data.shape[0]} rows x {data.shape[1]} columns")
     return 0
 
 
-def _cmd_mix(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _MIX)
+def _cmd_mix(cfg: dict, record) -> int:
     src_path = Path(cfg["data"])
     sources = normalize_componentwise(_load_dataset(src_path))
     pipeline = mixer.build_pipeline(
@@ -160,25 +154,23 @@ def _cmd_mix(args: argparse.Namespace) -> int:
     pipe_out = Path(cfg["pipeline_out"])
     save_csv(out, mixed)
     mixer.save_pipeline(pipe_out, pipeline)
-    _write_manifest(out, "mix", cfg, [src_path], [out, pipe_out])
+    record([src_path], [out, pipe_out])
     print(f"wrote {out} and {pipe_out} ({len(pipeline)} stages)")
     return 0
 
 
-def _cmd_unmix_exact(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _UNMIX_EXACT)
+def _cmd_unmix_exact(cfg: dict, record) -> int:
     data_path, pipe_path = Path(cfg["data"]), Path(cfg["pipeline"])
     pipeline = mixer.load_pipeline(pipe_path)
     recovered = mixer.unmix_exact(pipeline, _load_dataset(data_path))
     out = Path(cfg["out"])
     save_csv(out, recovered)
-    _write_manifest(out, "unmix-exact", cfg, [data_path, pipe_path], [out])
+    record([data_path, pipe_path], [out])
     print(f"wrote {out}")
     return 0
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _TRAIN)
+def _cmd_train(cfg: dict, record) -> int:
     data_path = Path(cfg["data"])
     data = _load_dataset(data_path)
     tc = trainer.TrainConfig(**{key: cfg[key] for key in _TRAIN_CONFIG})
@@ -186,7 +178,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model_out, trace_out = Path(cfg["model_out"]), Path(cfg["trace_out"])
     trainer.save_model(model_out, model, tc)
     trainer.save_trace(trace_out, trace)
-    _write_manifest(model_out, "train", cfg, [data_path], [model_out, trace_out])
+    record([data_path], [model_out, trace_out])
     if trace.records:
         last = trace.records[-1]
         print(
@@ -197,34 +189,28 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_encode(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _ENCODE)
+def _cmd_encode(cfg: dict, record) -> int:
     model_path, data_path = Path(cfg["model"]), Path(cfg["data"])
     model, _ = trainer.load_model(model_path)
     z = trainer.encode(model, _load_dataset(data_path))
     out = Path(cfg["out"])
     save_csv(out, z)
-    _write_manifest(out, "encode", cfg, [model_path, data_path], [out])
+    record([model_path, data_path], [out])
     print(f"wrote {out}")
     return 0
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
-    # the positionals win over --z / --sources
-    args.z = args.z if args.z_pos is None else args.z_pos
-    args.sources = args.sources if args.sources_pos is None else args.sources_pos
-    cfg = _resolve(args, _SCORE)
+def _cmd_score(cfg: dict, record) -> int:
     z_path, s_path = Path(cfg["z"]), Path(cfg["sources"])
     report = metrics.score(_load_dataset(z_path), _load_dataset(s_path))
     out = Path(cfg["out"])
     metrics.save_report(out, report, matrices=cfg["matrices"])
-    _write_manifest(out, "score", cfg, [z_path, s_path], [out])
+    record([z_path, s_path], [out])
     print(f"ots={report.ots:.6f} max_corr={report.max_corr:.6f}")
     return 0
 
 
-def _cmd_wii(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _WII)
+def _cmd_wii(cfg: dict, record) -> int:
     data_path = Path(cfg["data"])
     data = _load_dataset(data_path)
     value = wii.wii_index(data, cfg["num_points"], RngStream(cfg["seed"]))
@@ -237,13 +223,12 @@ def _cmd_wii(args: argparse.Namespace) -> int:
         "seed": cfg["seed"],
     }
     out.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    _write_manifest(out, "wii", cfg, [data_path], [out])
+    record([data_path], [out])
     print(f"wii={value:.6g}")
     return 0
 
 
-def _cmd_plot_data(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _PLOT_DATA)
+def _cmd_plot_data(cfg: dict, record) -> int:
     data_path = Path(cfg["data"])
     data = _load_dataset(data_path)
     d = data.shape[1]
@@ -263,7 +248,7 @@ def _cmd_plot_data(args: argparse.Namespace) -> int:
             for k in range(50):
                 fh.write(f"{float(edges[k])!r},{float(edges[k + 1])!r},{counts[k]}\n")
         outputs.append(hist_path)
-    _write_manifest(scatter, "plot-data", cfg, [data_path], outputs)
+    record([data_path], outputs)
     print(f"wrote {len(outputs)} files under {out_dir}")
     return 0
 
@@ -286,10 +271,9 @@ def _bench_one(d: int, iterations: int, seed: int, cfg: dict) -> dict:
     return {"ots": report.ots, "max_corr": report.max_corr}
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(cfg: dict, record) -> int:
     from concurrent.futures import ThreadPoolExecutor  # bench alone runs threads
 
-    cfg = _resolve(args, _BENCH)
     if not (cfg["dims"] and cfg["mixes"] and cfg["seeds"]):
         raise FileFormatError("bench needs nonempty dims, mixes and seeds lists")
     datagen.resolve_params(cfg["source_kind"], cfg["source_params"])
@@ -338,7 +322,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 else:
                     fh.write(f"{d},{it},0,,,,\n")
 
-    _write_manifest(summary_path, "bench", cfg, [], [runs_path, summary_path])
+    record([], [summary_path, runs_path])
     failed = sum(1 for r in results.values() if r["status"] != "ok")
     print(f"{len(runs) - failed}/{len(runs)} runs succeeded; wrote {summary_path}")
     return 3 if failed else 0
@@ -377,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                 f"--{key.replace('_', '-')}", dest=key, choices=getattr(parse, "choices", None),
                 metavar=getattr(parse, "metavar", None),
             )
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, table=table)
     score = subs.choices["score"]
     score.add_argument("z_pos", nargs="?", metavar="retrieved.csv")
     score.add_argument("sources_pos", nargs="?", metavar="sources.csv")
@@ -388,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return int(args.func(args))
+        cfg = _resolve(args, args.table)
+        # the command records its manifest as record(inputs, outputs)
+        return int(args.func(cfg, partial(_write_manifest, args.command, cfg)))
     except (FileFormatError, DimensionError, NonFiniteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

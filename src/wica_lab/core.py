@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -535,6 +536,15 @@ def _parse_options(table: dict, given: dict) -> dict:
     return {
         key: _parse(key, parse, given[key]) if key in given else default
         for key, (parse, default) in table.items()
+    }
+
+
+def _config_options(config_cls, *skip: str) -> dict:
+    """The fields of a config dataclass as (parser, default) entries, typed
+    by the dataclass's own parsers, with its defaults."""
+    return {
+        key: (config_cls._FIELDS[key], default)
+        for key, default in asdict(config_cls()).items() if key not in skip
     }
 
 

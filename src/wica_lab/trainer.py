@@ -48,9 +48,9 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .core import (
-    RngStream, _array_from_json, _at_least, _choice, _float, _int, _list_of, _normalize_parts,
-    _parse, _parse_fields, _read_json_object, _require_fields, as_data,
-    normalize_componentwise,
+    RngStream, _array_from_json, _at_least, _choice, _config_options, _float, _int, _list_of,
+    _normalize_parts, _parse, _parse_fields, _parse_options, _read_json_object, _require_fields,
+    as_data, normalize_componentwise,
 )
 from .errors import (
     DimensionError,
@@ -168,9 +168,9 @@ class TrainConfig:
     num_weighting_points=None resolves to d.  rec_norm picks whether the
     reconstruction term is a batch mean ("mean", default, keeps beta
     comparable across batch sizes) or the raw sum ("sum").  Each field is
-    read by its parser in _FIELDS, which the CLI's options share, so a
-    value of the wrong type is a FileFormatError and a value out of range
-    a DimensionError.
+    read by its parser in _FIELDS, which the CLI's options and load_model
+    share, so a value of the wrong type is a FileFormatError and a value
+    out of range a DimensionError.
     """
 
     beta: float = 1.0
@@ -561,8 +561,9 @@ def _mlp_from_json(obj, where: str) -> MlpParams:
 def load_model(path) -> tuple[AutoEncoderModel, TrainConfig]:
     doc = _read_json_object(path, ("d", "config", "encoder", "decoder"))
     try:
-        cfg = TrainConfig(**_require_fields(doc["config"], (), f"{path}: config"))
-    except (TypeError, ValueError, FileFormatError) as exc:
+        given = _require_fields(doc["config"], (), f"{path}: config")
+        cfg = TrainConfig(**_parse_options(_config_options(TrainConfig), given))
+    except (ValueError, FileFormatError) as exc:
         raise FileFormatError(f"{path}: bad config: {exc}") from None
     encoder = _mlp_from_json(doc["encoder"], f"{path}: encoder")
     decoder = _mlp_from_json(doc["decoder"], f"{path}: decoder")

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files in, files out, exit codes."""
 
+import argparse
 import hashlib
 import importlib
 import json
@@ -58,6 +59,62 @@ def test_generate_writes_data_and_manifest(tmp_path, monkeypatch):
     assert manifest["config_hash"] == expected_hash
 
 
+# each subcommand's argv and its first output; {in} is a directory that
+# holds data.csv, pipeline.json, model.json and bench.json
+_RUNS = {
+    "generate": (["--n", "32", "--out", "out.csv"], "out.csv"),
+    "mix": (["--data", "{in}/data.csv", "--iterations", "1", "--hidden", "4", "--out", "out.csv"],
+            "out.csv"),
+    "unmix-exact": (["--data", "{in}/data.csv", "--pipeline", "{in}/pipeline.json",
+                     "--out", "out.csv"], "out.csv"),
+    "train": (["--data", "{in}/data.csv", "--steps", "2", "--batch-size", "16",
+               "--hidden-sizes", "4", "--model-out", "out.json"], "out.json"),
+    "encode": (["--model", "{in}/model.json", "--data", "{in}/data.csv", "--out", "out.csv"],
+               "out.csv"),
+    "score": (["{in}/data.csv", "{in}/data.csv", "--out", "out.json"], "out.json"),
+    "wii": (["--data", "{in}/data.csv", "--out", "out.json"], "out.json"),
+    "bench": (["--config", "{in}/bench.json", "--out-dir", "out"], "out/summary.csv"),
+    "plot-data": (["--data", "{in}/data.csv", "--out-dir", "out"], "out/scatter.csv"),
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory holding one input file of each kind a subcommand reads."""
+    root = tmp_path_factory.mktemp("inputs")
+    data = str(root / "data.csv")
+    assert main(["generate", "--n", "64", "--out", data]) == 0
+    assert main(["mix", "--data", data, "--iterations", "1", "--hidden", "4",
+                 "--out", str(root / "mixed.csv"),
+                 "--pipeline-out", str(root / "pipeline.json")]) == 0
+    assert main(["train", "--data", data, "--steps", "2", "--batch-size", "16",
+                 "--hidden-sizes", "4", "--model-out", str(root / "model.json"),
+                 "--trace-out", str(root / "trace.csv")]) == 0
+    (root / "bench.json").write_text(json.dumps({
+        "dims": [2], "mixes": [1], "seeds": [0], "n": 64, "source_kind": "uniform",
+        "mix_hidden": 4, "train": {"steps": 2, "batch_size": 16, "hidden_sizes": [4]},
+    }) + "\n")
+    return root
+
+
+_SUBCOMMANDS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_every_subcommand_records_its_manifest_next_to_its_first_output(
+        tmp_path, monkeypatch, inputs, command):
+    """A subcommand missing from _RUNS fails here, so none goes unchecked."""
+    monkeypatch.chdir(tmp_path)
+    argv, first = _RUNS[command]
+    assert main([command, *(arg.replace("{in}", str(inputs)) for arg in argv)]) == 0
+    assert sorted(tmp_path.rglob("*.manifest.json")) == [tmp_path / f"{first}.manifest.json"]
+    manifest = _read_manifest(tmp_path / first)
+    assert manifest["command"] == command
+    assert first in manifest["outputs"]
+
+
 def test_mix_then_exact_unmix_recovers_sources(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _generate(n=200, seed=5)
@@ -104,12 +161,26 @@ def test_train_encode_score_chain(tmp_path, monkeypatch, capsys):
 
 
 def test_score_flags_match_positionals(tmp_path, monkeypatch):
+    """Positionals and --z/--sources score the same files; positionals win
+    over --z/--sources and over z/sources in --config."""
     monkeypatch.chdir(tmp_path)
     _generate("a.csv", n=64, seed=7)
     _generate("b.csv", n=64, seed=8)
+    _generate("c.csv", n=64, seed=9)
+    (tmp_path / "cfg.json").write_text('{"z": "c.csv", "sources": "c.csv"}\n')
     assert main(["score", "a.csv", "b.csv", "--out", "r1.json"]) == 0
-    assert main(["score", "--z", "a.csv", "--sources", "b.csv", "--out", "r2.json"]) == 0
-    assert (tmp_path / "r1.json").read_text() == (tmp_path / "r2.json").read_text()
+    expected = (tmp_path / "r1.json").read_text()
+    for out, argv in [
+        ("r2.json", ["--z", "a.csv", "--sources", "b.csv"]),
+        ("r3.json", ["a.csv", "b.csv", "--z", "c.csv", "--sources", "c.csv"]),
+        ("r4.json", ["a.csv", "b.csv", "--config", "cfg.json"]),
+    ]:
+        assert main(["score", *argv, "--out", out]) == 0
+        assert (tmp_path / out).read_text() == expected
+        config = _read_manifest(tmp_path / out)["config"]
+        assert (config["z"], config["sources"]) == ("a.csv", "b.csv")
+    assert main(["score", "--config", "cfg.json", "--out", "r5.json"]) == 0
+    assert (tmp_path / "r5.json").read_text() != expected
 
 
 def test_score_no_matrices_drops_matrix_fields(tmp_path, monkeypatch):
@@ -381,6 +452,87 @@ def test_loader_rejects_malformed_json_object(tmp_path, monkeypatch, load, text)
     path.write_text(text)
     with pytest.raises(FileFormatError):
         load(path)
+
+
+def _csv(n: int) -> str:
+    return "c0,c1\n" + "".join(f"{i},{i % 7}\n" for i in range(n))
+
+
+_GOOD_PIPELINE = _PIPELINE % "0"
+_GOOD_MODEL = _MODEL % "2"
+_ENCODER = '"encoder": {"w1": [[1, 0], [0, 1]], "b1": [0, 0]}'
+_UNMIX = ["unmix-exact", "--data", "data.csv", "--pipeline", "p.json"]
+_ENCODE = ["encode", "--model", "m.json", "--data", "data.csv"]
+# a malformed input file or option value, each (id, argv, files written
+# beside a 64-row data.csv, primary output, what the error line must say);
+# the ids are written out, as _MALFORMED's are
+_MALFORMED_FILES = [
+    ("csv-empty", ["wii", "--data", "x.csv"], {"x.csv": ""}, "wii.json", "x.csv: empty file"),
+    ("csv-header", ["wii", "--data", "x.csv"], {"x.csv": "x,y\n1,2\n"}, "wii.json",
+     "x.csv: header must be c0..c1"),
+    ("csv-header-only", ["wii", "--data", "x.csv"], {"x.csv": "c0,c1\n"}, "wii.json",
+     "x.csv: no data rows"),
+    ("csv-nan", ["wii", "--data", "x.csv"], {"x.csv": "c0,c1\n1,nan\n2,3\n"}, "wii.json",
+     "x.csv: non-finite values"),
+    ("csv-rows", ["score", "a.csv", "b.csv"], {"a.csv": _csv(50), "b.csv": _csv(40)},
+     "report.json", "shape mismatch"),
+    ("pipeline-missing", _UNMIX, {}, "recovered.csv", "cannot read p.json"),
+    ("pipeline-no-stages", _UNMIX, {"p.json": '{"d": 2, "seed": 0, "stages": []}\n'},
+     "recovered.csv", "p.json: 'stages' must be a nonempty list"),
+    ("pipeline-q-not-square", _UNMIX,
+     {"p.json": _GOOD_PIPELINE.replace('"q": [[1, 0], [0, 1]]', '"q": [[1, 0]]')},
+     "recovered.csv", "p.json: stage 1: stage matrix must be square"),
+    ("pipeline-q-1d", _UNMIX,
+     {"p.json": _GOOD_PIPELINE.replace('"q": [[1, 0], [0, 1]]', '"q": [1, 0]')},
+     "recovered.csv", "p.json: stage 1.q: expected 2-dimensional array"),
+    ("pipeline-parity", _UNMIX,
+     {"p.json": _GOOD_PIPELINE.replace('"parity": "odd"', '"parity": "foo"')},
+     "recovered.csv", "p.json: stage 1: parity must be one of"),
+    ("pipeline-even-first", _UNMIX,
+     {"p.json": _GOOD_PIPELINE.replace('"parity": "odd"', '"parity": "even"')},
+     "recovered.csv", "p.json: stage 1 must have odd parity"),
+    ("pipeline-phi-bias", _UNMIX,
+     {"p.json": _GOOD_PIPELINE.replace('"b1": [0, 0]', '"b1": [0, 0, 0]')},
+     "recovered.csv", "p.json: stage 1.phi: layer 0: expected weight 1x2 and bias 2"),
+    ("pipeline-phi-text", _UNMIX,
+     {"p.json": _GOOD_PIPELINE.replace('"w1": [[0, 0]]', '"w1": [["a", 0]]')},
+     "recovered.csv", "p.json: stage 1.phi.w1: could not convert"),
+    ("model-zero-width", _ENCODE,
+     {"m.json": _GOOD_MODEL.replace(_ENCODER, '"encoder": {"w1": [[], []], "b1": []}')},
+     "encoded.csv", "m.json: encoder: layer sizes must be positive"),
+    ("model-w1-3d", _ENCODE,
+     {"m.json": _GOOD_MODEL.replace(_ENCODER, '"encoder": {"w1": [[[1]]], "b1": [0, 0]}')},
+     "encoded.csv", "m.json: encoder.w1: expected 2-dimensional array, got ndim=3"),
+    ("model-config-key", _ENCODE,
+     {"m.json": _GOOD_MODEL.replace('"hidden_sizes": []', '"hidden_sizes": [], "bogus": 1')},
+     "encoded.csv", "m.json: bad config: unknown key 'bogus'"),
+    ("model-d", _ENCODE, {"m.json": _MODEL % "3"}, "encoded.csv",
+     "m.json: 'd' is 3 but nets have d=2"),
+    ("option-list", ["train", "--data", "data.csv", "--config", "cfg.json"],
+     {"cfg.json": '{"hidden_sizes": 5}'}, "model.json", "hidden_sizes: expected a list"),
+    ("option-json", ["generate", "--params", "{oops"], {}, "sources.csv",
+     "params: invalid JSON"),
+    ("option-object", ["generate", "--params", "[1]"], {}, "sources.csv",
+     "params: expected a JSON object"),
+    ("option-dims", ["bench", "--config", "cfg.json", "--out-dir", "grid"],
+     {"cfg.json": '{"dims": []}'}, "grid/summary.csv", "bench needs nonempty dims"),
+]
+assert len({case[0] for case in _MALFORMED_FILES}) == len(_MALFORMED_FILES)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv,files,primary,message",
+                         [case[1:] for case in _MALFORMED_FILES],
+                         ids=[case[0] for case in _MALFORMED_FILES])
+def test_malformed_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, files, primary,
+                                      message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in {"data.csv": _csv(64), **files}.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
+    assert not (tmp_path / primary).exists()
 
 
 def test_unmix_exact_names_the_stage_whose_matrix_holds_nan(tmp_path, monkeypatch, capsys):

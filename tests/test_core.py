@@ -115,6 +115,8 @@ def test_normalize_constant_column_stays_finite():
 def test_normalize_needs_two_rows():
     with pytest.raises(DimensionError):
         normalize_componentwise(np.array([[1.0, 2.0]]))
+    with pytest.raises(DimensionError, match="data must contain at least one row"):
+        normalize_componentwise(np.empty((0, 2)))
 
 
 def test_normalize_rejects_a_column_whose_std_overflows():
@@ -201,6 +203,8 @@ def test_pearson_matrix_rejects_constant_column():
     s = np.arange(20.0).reshape(10, 2)
     with pytest.raises(DegenerateColumnError):
         pearson_corr_matrix(z, s)
+    with pytest.raises(DimensionError, match="row counts differ: 10 vs 9"):
+        pearson_corr_matrix(s, s[:9])
 
 
 def _spearman_distance(a, b) -> float:

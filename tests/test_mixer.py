@@ -10,6 +10,7 @@ from wica_lab.core import RngStream
 from wica_lab.datagen import SourceSpec, generate
 from wica_lab.errors import DimensionError, FileFormatError
 from wica_lab.mixer import (
+    MixingPipeline,
     MixingStage,
     build_pipeline,
     load_pipeline,
@@ -138,6 +139,10 @@ def test_build_pipeline_rejects_bad_arguments():
         build_pipeline(3, 0, 4, RngStream(0))
     with pytest.raises(DimensionError):
         build_pipeline(3, 3, 0, RngStream(0))
+    with pytest.raises(DimensionError, match="a pipeline needs at least one stage"):
+        MixingPipeline((), 2, 0)
+    with pytest.raises(DimensionError, match="stage 1 has d=3, pipeline has d=2"):
+        MixingPipeline(build_pipeline(3, 1, 4, RngStream(0)).stages, 2, 0)
 
 
 def test_same_seed_same_pipeline():
