@@ -16,8 +16,9 @@ is a usage error.  main passes the command its parsed config and records
 the manifest under the command's name, so a flag and a config file that
 describe the same run record the same config and config hash.
 
-Exit codes: 0 success, 2 usage or file-format problems, 3 numerical
-failures (weight collapse, divergence, degenerate data).
+Exit codes: 0 success; 2 a malformed option or input file (unreadable, not
+UTF-8, or not the CSV or JSON its reader expects) or a size numpy cannot
+allocate; 3 numerical failures (weight collapse, divergence, degenerate data).
 """
 
 from __future__ import annotations
@@ -375,7 +376,7 @@ def main(argv=None) -> int:
         cfg = _resolve(args, args.table)
         # the command records its manifest as record(inputs, outputs)
         return int(args.func(cfg, partial(_write_manifest, args.command, cfg)))
-    except (FileFormatError, DimensionError, NonFiniteError, OSError) as exc:
+    except (FileFormatError, DimensionError, NonFiniteError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WicaError as exc:

@@ -326,7 +326,17 @@ class RngStream:
 
 
 # ---------------------------------------------------------------------------
-# dataset files
+# files: CSV datasets and JSON documents
+
+
+def _read_text(path) -> str:
+    """The UTF-8 text of an input file, CSV or JSON, line ends as written."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _column_header(d: int) -> list[str]:
@@ -347,30 +357,25 @@ def save_csv(path, x) -> None:
 
 def load_csv(path) -> np.ndarray:
     path = Path(path)
+    # bytes.splitlines ends lines at \r\n, \r or \n only, as a file opened
+    # with newline="" does; str.splitlines would also end them at \f or \v
+    lines = _read_text(path).encode().splitlines(keepends=True)
+    reader = csv.reader(line.decode() for line in lines)
     try:
-        with path.open("r", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FileFormatError(f"{path}: empty file") from None
-            d = len(header)
-            if header != _column_header(d):
-                raise FileFormatError(
-                    f"{path}: header must be c0..c{d - 1}, got {header!r}"
-                )
-            rows: list[list[float]] = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != d:
-                    raise FileFormatError(
-                        f"{path}:{lineno}: expected {d} fields, got {len(row)}"
-                    )
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from None
+        header = next(reader)
+    except StopIteration:
+        raise FileFormatError(f"{path}: empty file") from None
+    d = len(header)
+    if header != _column_header(d):
+        raise FileFormatError(f"{path}: header must be c0..c{d - 1}, got {header!r}")
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != d:
+            raise FileFormatError(f"{path}:{lineno}: expected {d} fields, got {len(row)}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise FileFormatError(f"{path}: no data rows")
     arr = np.asarray(rows, dtype=np.float64)
@@ -379,21 +384,17 @@ def load_csv(path) -> np.ndarray:
     return arr
 
 
-# ---------------------------------------------------------------------------
-# JSON files
-
-
 def _read_json_object(path, fields=()) -> dict:
     """The JSON object in a file, checked to carry the given fields."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from None
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
         ) from None
+    except RecursionError:
+        raise FileFormatError(f"{path}: invalid JSON (nested too deeply)") from None
     return _require_fields(doc, fields, str(path))
 
 
@@ -411,7 +412,7 @@ def _array_from_json(obj, where: str, ndim: int) -> np.ndarray:
     """A float64 array of the given ndim read from a JSON value."""
     try:
         arr = np.asarray(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{where}: {exc}") from None
     if arr.ndim != ndim:
         raise FileFormatError(f"{where}: expected {ndim}-dimensional array, got ndim={arr.ndim}")
@@ -478,6 +479,8 @@ def _object(value) -> dict:
             value = json.loads(value)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise FileFormatError("invalid JSON (nested too deeply)") from None
     if not isinstance(value, dict):
         raise FileFormatError(f"expected a JSON object, got {value!r}")
     return value
@@ -520,11 +523,24 @@ def _distinct(parse):
     return distinct
 
 
+class _where:
+    """A context that re-raises a FileFormatError or DimensionError with
+    prefix in front of its message, as into if given, else as its own type."""
+
+    def __init__(self, prefix, into=None) -> None:
+        self.prefix, self.into = prefix, into
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, (FileFormatError, DimensionError)):
+            raise (self.into or kind)(f"{self.prefix}: {exc}") from None
+
+
 def _parse(key: str, parse, value):
-    try:
+    with _where(key):
         return parse(value)
-    except (FileFormatError, DimensionError) as exc:
-        raise type(exc)(f"{key}: {exc}") from None
 
 
 def _parse_options(table: dict, given: dict) -> dict:

@@ -23,9 +23,9 @@ import numpy as np
 
 from .core import (
     RngStream, _at_least, _float, _int, _object, _parse_fields, _parse_options,
-    normalize_componentwise,
+    _where, normalize_componentwise,
 )
-from .errors import DimensionError, FileFormatError
+from .errors import DimensionError
 
 __all__ = ["KINDS", "SourceSpec", "generate", "resolve_params"]
 
@@ -40,10 +40,8 @@ def resolve_params(kind: str, params) -> dict:
     """
     if kind not in KINDS:
         raise DimensionError(f"kind must be one of {KINDS}, got {kind!r}")
-    try:
+    with _where(f"{kind} params"):
         p = _parse_options(_KINDS[kind][1], _object(params))
-    except (FileFormatError, DimensionError) as exc:
-        raise type(exc)(f"{kind} params: {exc}") from None
     for low, high in (("omega_min", "omega_max"), ("radius_min", "radius_max")):
         if low in p and p[low] > p[high]:
             raise DimensionError(f"{low} {p[low]} exceeds {high} {p[high]}")

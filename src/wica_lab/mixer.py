@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (
     RngStream, _array_from_json, _at_least, _int, _parse, _read_json_object, _require_fields,
-    as_data, sample_haar_orthogonal,
+    _where, as_data, sample_haar_orthogonal,
 )
 from .errors import DimensionError, FileFormatError
 from .trainer import MlpParams, _mlp_forward, _mlp_from_json, _mlp_to_json, init_mlp
@@ -212,12 +212,8 @@ def load_pipeline(path) -> MixingPipeline:
         raw = _require_fields(raw, ("q", "phi", "parity"), where)
         q = _array_from_json(raw["q"], f"{where}.q", 2)
         phi = _mlp_from_json(raw["phi"], f"{where}.phi")
-        try:
+        with _where(where, FileFormatError):
             stages.append(MixingStage(q, phi, raw["parity"]))
-        except DimensionError as exc:
-            raise FileFormatError(f"{where}: {exc}") from None
-    try:
+    with _where(path, FileFormatError):
         d = _parse("d", _at_least(_int, 2), doc["d"])
         return MixingPipeline(tuple(stages), d, _parse("seed", _at_least(_int, 0), doc["seed"]))
-    except (FileFormatError, DimensionError) as exc:
-        raise FileFormatError(f"{path}: {exc}") from None

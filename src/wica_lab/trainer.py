@@ -50,7 +50,7 @@ import numpy as np
 from .core import (
     RngStream, _array_from_json, _at_least, _choice, _config_options, _float, _int, _list_of,
     _normalize_parts, _parse, _parse_fields, _parse_options, _read_json_object, _require_fields,
-    as_data, normalize_componentwise,
+    _where, as_data, normalize_componentwise,
 )
 from .errors import (
     DimensionError,
@@ -552,26 +552,20 @@ def _mlp_from_json(obj, where: str) -> MlpParams:
     weights = [_array_from_json(obj[f"w{l}"], f"{where}.w{l}", 2) for l in layers]
     biases = [_array_from_json(obj[f"b{l}"], f"{where}.b{l}", 1) for l in layers]
     sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
-    try:
+    with _where(where, FileFormatError):
         return MlpParams(sizes, weights, biases)
-    except DimensionError as exc:
-        raise FileFormatError(f"{where}: {exc}") from None
 
 
 def load_model(path) -> tuple[AutoEncoderModel, TrainConfig]:
     doc = _read_json_object(path, ("d", "config", "encoder", "decoder"))
-    try:
-        given = _require_fields(doc["config"], (), f"{path}: config")
+    given = _require_fields(doc["config"], (), f"{path}: config")
+    with _where(f"{path}: bad config", FileFormatError):
         cfg = TrainConfig(**_parse_options(_config_options(TrainConfig), given))
-    except (ValueError, FileFormatError) as exc:
-        raise FileFormatError(f"{path}: bad config: {exc}") from None
     encoder = _mlp_from_json(doc["encoder"], f"{path}: encoder")
     decoder = _mlp_from_json(doc["decoder"], f"{path}: decoder")
-    try:
+    with _where(path, FileFormatError):
         d = _parse("d", _at_least(_int, 2), doc["d"])
         model = AutoEncoderModel(encoder, decoder)
-    except (FileFormatError, DimensionError) as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
     if model.d != d:
         raise FileFormatError(f"{path}: 'd' is {d} but nets have d={model.d}")
     for name, net in (("encoder", model.encoder), ("decoder", model.decoder)):

@@ -6,9 +6,10 @@ search and row-by-row re-solves instead of the assignment solver,
 finite differences instead of the hand-written backward pass, grid
 quadrature beside the closed-form concentration value it checks.  None of it
 shares code with the modules under test beyond the model's parameter
-layout, except the earlier Spearman path, kept as a composition of the
-public ranks and Pearson functions; none of it is built for speed.  It
-is test-only and is not part of the installed package.
+layout and the package's JSON file reader, except the earlier Spearman
+path, kept as a composition of the public ranks and Pearson functions;
+none of it is built for speed.  It is test-only and is not part of the
+installed package.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from wica_lab.core import average_ranks, pearson_corr_matrix
+from wica_lab.core import _read_json_object, average_ranks, pearson_corr_matrix
 from wica_lab.errors import DimensionError, FileFormatError, NumericalError
 from wica_lab.trainer import AutoEncoderModel
 
@@ -533,14 +534,7 @@ def save_record(path, record: CalibrationRecord) -> None:
 
 def load_record(path) -> CalibrationRecord:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise FileFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
-        ) from None
+    doc = _read_json_object(path)
     try:
         return CalibrationRecord(
             tag=str(doc["tag"]),

@@ -463,8 +463,11 @@ _GOOD_MODEL = _MODEL % "2"
 _ENCODER = '"encoder": {"w1": [[1, 0], [0, 1]], "b1": [0, 0]}'
 _UNMIX = ["unmix-exact", "--data", "data.csv", "--pipeline", "p.json"]
 _ENCODE = ["encode", "--model", "m.json", "--data", "data.csv"]
+_NOT_UTF8 = b"\xff\xfe\x00\x81"
+_HUGE_SIZE = str(10 ** 15)  # numpy refuses the petabytes this asks for at once
 # a malformed input file or option value, each (id, argv, files written
-# beside a 64-row data.csv, primary output, what the error line must say);
+# beside a 64-row data.csv, as text or bytes, primary output, what the
+# error line must say);
 # the ids are written out, as _MALFORMED's are
 _MALFORMED_FILES = [
     ("csv-empty", ["wii", "--data", "x.csv"], {"x.csv": ""}, "wii.json", "x.csv: empty file"),
@@ -474,6 +477,8 @@ _MALFORMED_FILES = [
      "x.csv: no data rows"),
     ("csv-nan", ["wii", "--data", "x.csv"], {"x.csv": "c0,c1\n1,nan\n2,3\n"}, "wii.json",
      "x.csv: non-finite values"),
+    ("csv-not-utf8", ["wii", "--data", "x.csv"], {"x.csv": _NOT_UTF8}, "wii.json",
+     "x.csv: not UTF-8 text"),
     ("csv-rows", ["score", "a.csv", "b.csv"], {"a.csv": _csv(50), "b.csv": _csv(40)},
      "report.json", "shape mismatch"),
     ("pipeline-missing", _UNMIX, {}, "recovered.csv", "cannot read p.json"),
@@ -497,6 +502,13 @@ _MALFORMED_FILES = [
     ("pipeline-phi-text", _UNMIX,
      {"p.json": _GOOD_PIPELINE.replace('"w1": [[0, 0]]', '"w1": [["a", 0]]')},
      "recovered.csv", "p.json: stage 1.phi.w1: could not convert"),
+    ("pipeline-not-utf8", _UNMIX, {"p.json": _NOT_UTF8}, "recovered.csv",
+     "p.json: not UTF-8 text"),
+    ("pipeline-nested", _UNMIX, {"p.json": "[" * 100000}, "recovered.csv",
+     "p.json: invalid JSON (nested too deeply)"),
+    ("pipeline-q-huge-int", _UNMIX,
+     {"p.json": _GOOD_PIPELINE.replace('"q": [[1, 0]', '"q": [[1' + "0" * 399 + ', 0]')},
+     "recovered.csv", "p.json: stage 1.q: int too large to convert to float"),
     ("model-zero-width", _ENCODE,
      {"m.json": _GOOD_MODEL.replace(_ENCODER, '"encoder": {"w1": [[], []], "b1": []}')},
      "encoded.csv", "m.json: encoder: layer sizes must be positive"),
@@ -506,16 +518,33 @@ _MALFORMED_FILES = [
     ("model-config-key", _ENCODE,
      {"m.json": _GOOD_MODEL.replace('"hidden_sizes": []', '"hidden_sizes": [], "bogus": 1')},
      "encoded.csv", "m.json: bad config: unknown key 'bogus'"),
+    ("model-config-list", _ENCODE,
+     {"m.json": _GOOD_MODEL.replace('"config": {"hidden_sizes": []}', '"config": []')},
+     "encoded.csv", "error: m.json: config: must be a JSON object"),
+    ("model-not-utf8", _ENCODE, {"m.json": _NOT_UTF8}, "encoded.csv", "m.json: not UTF-8 text"),
     ("model-d", _ENCODE, {"m.json": _MODEL % "3"}, "encoded.csv",
      "m.json: 'd' is 3 but nets have d=2"),
     ("option-list", ["train", "--data", "data.csv", "--config", "cfg.json"],
      {"cfg.json": '{"hidden_sizes": 5}'}, "model.json", "hidden_sizes: expected a list"),
+    ("option-not-utf8", ["train", "--data", "data.csv", "--config", "cfg.json"],
+     {"cfg.json": _NOT_UTF8}, "model.json", "cfg.json: not UTF-8 text"),
+    ("option-nested", ["generate", "--params", "[" * 100000], {}, "sources.csv",
+     "params: invalid JSON (nested too deeply)"),
     ("option-json", ["generate", "--params", "{oops"], {}, "sources.csv",
      "params: invalid JSON"),
     ("option-object", ["generate", "--params", "[1]"], {}, "sources.csv",
      "params: expected a JSON object"),
     ("option-dims", ["bench", "--config", "cfg.json", "--out-dir", "grid"],
      {"cfg.json": '{"dims": []}'}, "grid/summary.csv", "bench needs nonempty dims"),
+    # sizes whose arrays numpy cannot allocate
+    ("size-wii-num-points", ["wii", "--data", "data.csv", "--num-points", _HUGE_SIZE], {},
+     "wii.json", "Unable to allocate"),
+    ("size-generate-n", ["generate", "--n", _HUGE_SIZE], {}, "sources.csv",
+     "Unable to allocate"),
+    ("size-train-hidden", ["train", "--data", "data.csv", "--steps", "1", "--batch-size", "32",
+                           "--hidden-sizes", _HUGE_SIZE], {}, "model.json", "Unable to allocate"),
+    ("size-mix-hidden", ["mix", "--data", "data.csv", "--hidden", _HUGE_SIZE], {}, "mixed.csv",
+     "Unable to allocate"),
 ]
 assert len({case[0] for case in _MALFORMED_FILES}) == len(_MALFORMED_FILES)
 
@@ -528,7 +557,7 @@ def test_malformed_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, files
                                       message):
     monkeypatch.chdir(tmp_path)
     for name, text in {"data.csv": _csv(64), **files}.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err

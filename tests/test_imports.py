@@ -1,5 +1,6 @@
-"""Every module of the package and of its tests uses what it imports, and
-every name the package exports is used by the package or the benchmark."""
+"""Every module of the package and of its tests uses what it imports,
+every name the package exports is used by the package or the benchmark,
+and no handler in the package re-raises an input error by hand."""
 
 import ast
 from pathlib import Path
@@ -129,3 +130,37 @@ def test_an_unread_export_is_found():
     # a re-export is read when the name it imports is
     reexport = "from .m import g, h\n__all__ = ['g', 'h']\n"
     assert _unread_exports("pkg.__init__", reexport, readers) == ["h"]
+
+
+_INPUT_ERRORS = {"FileFormatError", "DimensionError"}
+
+
+def _reraising_handlers(source: str) -> list[str]:
+    """Lines of except clauses that name FileFormatError or DimensionError
+    and raise: the one place that puts a location in front of such an
+    error is core._where."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+        if named & _INPUT_ERRORS and any(
+            isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt)
+        ):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_handler_reraises_an_input_error(path):
+    assert _reraising_handlers(path.read_text()) == []
+
+
+def test_a_reraising_handler_is_found():
+    source = (
+        "try:\n    f()\n"
+        "except (errors.DimensionError, KeyError) as exc:\n    raise X(exc) from None\n"
+        "except FileFormatError:\n    print('no')\n"
+        "except ValueError:\n    raise\n"
+    )
+    assert _reraising_handlers(source) == ["line 3"]
