@@ -35,7 +35,7 @@ import numpy as np
 from . import datagen, metrics, mixer, trainer, wii
 from .core import (
     RngStream, _at_least, _bool, _choice, _config_options, _distinct, _int, _list_of, _object,
-    _parse_options, _read_json_object, _str, as_data, load_csv, normalize_componentwise, save_csv,
+    _parse_options, _read_json_object, _size, _str, as_data, load_csv, normalize_componentwise, save_csv,
 )
 from .errors import DimensionError, FileFormatError, NonFiniteError, WicaError
 
@@ -90,7 +90,7 @@ _GENERATE = {
     "seed": (_int, 0), "params": (_object, {}), "out": (_str, "sources.csv"),
 }
 _MIX = {
-    "data": (_str, _REQUIRED), "iterations": (_int, 10), "hidden": (_int, 16),
+    "data": (_str, _REQUIRED), "iterations": (_int, 10), "hidden": (_size(_int), 16),
     "seed": (_int, 0), "out": (_str, "mixed.csv"), "pipeline_out": (_str, "pipeline.json"),
 }
 _UNMIX_EXACT = {
@@ -116,12 +116,12 @@ _PLOT_DATA = {
 # each grid cell trains with its own seed from "seeds"
 _BENCH_TRAIN = _config_options(trainer.TrainConfig, "seed")
 _BENCH = {
-    "dims": (_distinct(_list_of(_at_least(_int, 2))), (2,)),
+    "dims": (_distinct(_list_of(_size(_at_least(_int, 2)))), (2,)),
     "mixes": (_distinct(_list_of(_at_least(_int, 1))), (10,)),
     "seeds": (_distinct(_list_of(_at_least(_int, 0))), (0,)),
-    "n": (_at_least(_int, 2), 16384), "source_kind": (_choice(*datagen.KINDS), "sine_mixture"),
+    "n": (_size(_at_least(_int, 2)), 16384), "source_kind": (_choice(*datagen.KINDS), "sine_mixture"),
     "source_params": (_object, {}), "source_seed": (_at_least(_int, 0), 0),
-    "mix_seed": (_at_least(_int, 0), 0), "mix_hidden": (_at_least(_int, 1), 16),
+    "mix_seed": (_at_least(_int, 0), 0), "mix_hidden": (_size(_at_least(_int, 1)), 16),
     "train": (
         lambda value: _parse_options(_BENCH_TRAIN, _object(value)),
         _parse_options(_BENCH_TRAIN, {}),

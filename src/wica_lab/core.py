@@ -360,7 +360,7 @@ def load_csv(path) -> np.ndarray:
     # bytes.splitlines ends lines at \r\n, \r or \n only, as a file opened
     # with newline="" does; str.splitlines would also end them at \f or \v
     lines = _read_text(path).encode().splitlines(keepends=True)
-    reader = csv.reader(line.decode() for line in lines)
+    reader = _records(path, csv.reader(line.decode() for line in lines))
     try:
         header = next(reader)
     except StopIteration:
@@ -384,17 +384,29 @@ def load_csv(path) -> np.ndarray:
     return arr
 
 
+def _records(path, reader):
+    """The rows of a csv reader, a FileFormatError at the line where the
+    reader fails, as on a field above csv's size limit."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def _read_json_object(path, fields=()) -> dict:
     """The JSON object in a file, checked to carry the given fields."""
     path = Path(path)
+    text = _read_text(path)
     try:
-        doc = json.loads(_read_text(path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
         ) from None
     except RecursionError:
         raise FileFormatError(f"{path}: invalid JSON (nested too deeply)") from None
+    except ValueError as exc:  # an integer with more digits than int() reads
+        raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
     return _require_fields(doc, fields, str(path))
 
 
@@ -481,6 +493,8 @@ def _object(value) -> dict:
             raise FileFormatError(f"invalid JSON ({exc.msg})") from None
         except RecursionError:
             raise FileFormatError("invalid JSON (nested too deeply)") from None
+        except ValueError as exc:  # an integer with more digits than int() reads
+            raise FileFormatError(f"invalid JSON ({exc})") from None
     if not isinstance(value, dict):
         raise FileFormatError(f"expected a JSON object, got {value!r}")
     return value
@@ -497,6 +511,20 @@ def _choice(*names: str):
         raise error(f"expected one of {', '.join(names)}, got {value!r}")
     parse.choices = names
     return parse
+
+
+_SIZE_MAX = int(np.iinfo(np.intp).max)
+
+
+def _size(parse):
+    """parse, then a DimensionError if the count it reads is above
+    np.iinfo(np.intp).max, the largest array dimension numpy takes."""
+    def size(value):
+        out = parse(value)
+        if out > _SIZE_MAX:
+            raise DimensionError(f"must be <= {_SIZE_MAX}, got {out}")
+        return out
+    return size
 
 
 def _at_least(parse, low, *, strict: bool = False):

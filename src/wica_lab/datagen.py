@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (
     RngStream, _at_least, _float, _int, _object, _parse_fields, _parse_options,
-    _where, normalize_componentwise,
+    _size, _where, normalize_componentwise,
 )
 from .errors import DimensionError
 
@@ -64,7 +64,8 @@ class SourceSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     _FIELDS: ClassVar[dict] = {
-        "d": _at_least(_int, 2), "n": _at_least(_int, 2), "seed": _at_least(_int, 0),
+        "d": _size(_at_least(_int, 2)), "n": _size(_at_least(_int, 2)),
+        "seed": _at_least(_int, 0),
     }
 
     def __post_init__(self) -> None:

@@ -50,7 +50,7 @@ import numpy as np
 from .core import (
     RngStream, _array_from_json, _at_least, _choice, _config_options, _float, _int, _list_of,
     _normalize_parts, _parse, _parse_fields, _parse_options, _read_json_object, _require_fields,
-    _where, as_data, normalize_componentwise,
+    _size, _where, as_data, normalize_componentwise,
 )
 from .errors import (
     DimensionError,
@@ -189,7 +189,7 @@ class TrainConfig:
         "steps": _at_least(_int, 0), "learning_rate": _at_least(_float, 0.0, strict=True),
         "seed": _at_least(_int, 0), "num_weighting_points": _NUM_POINTS,
         "optimizer": _choice("adam", "sgd"), "log_every": _at_least(_int, 1),
-        "hidden_sizes": _list_of(_at_least(_int, 1)), "rec_norm": _choice("mean", "sum"),
+        "hidden_sizes": _list_of(_size(_at_least(_int, 1))), "rec_norm": _choice("mean", "sum"),
     }
 
     def __post_init__(self) -> None:

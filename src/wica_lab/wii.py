@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    RngStream, _at_least, _int, _optional, _parse, _weighted_moments, as_data,
+    RngStream, _at_least, _int, _optional, _parse, _size, _weighted_moments, as_data,
     normalize_componentwise,
 )
 from .errors import DimensionError, InsufficientDataError, WeightCollapseError
@@ -43,7 +43,7 @@ _MIN_EFFECTIVE_WEIGHT = 1e-12
 
 
 # how many weighting points to draw; None, the default, means one per dimension
-_NUM_POINTS = _optional(_at_least(_int, 1))
+_NUM_POINTS = _optional(_size(_at_least(_int, 1)))
 
 
 def _point_count(num_points, d: int) -> int:

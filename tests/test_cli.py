@@ -479,6 +479,8 @@ _MALFORMED_FILES = [
      "x.csv: non-finite values"),
     ("csv-not-utf8", ["wii", "--data", "x.csv"], {"x.csv": _NOT_UTF8}, "wii.json",
      "x.csv: not UTF-8 text"),
+    ("csv-field-limit", ["wii", "--data", "x.csv"], {"x.csv": "c0,c1\n" + "1" * 131073 + ",2\n"},
+     "wii.json", "x.csv:2: field larger than field limit (131072)"),
     ("csv-rows", ["score", "a.csv", "b.csv"], {"a.csv": _csv(50), "b.csv": _csv(40)},
      "report.json", "shape mismatch"),
     ("pipeline-missing", _UNMIX, {}, "recovered.csv", "cannot read p.json"),
@@ -528,6 +530,12 @@ _MALFORMED_FILES = [
      {"cfg.json": '{"hidden_sizes": 5}'}, "model.json", "hidden_sizes: expected a list"),
     ("option-not-utf8", ["train", "--data", "data.csv", "--config", "cfg.json"],
      {"cfg.json": _NOT_UTF8}, "model.json", "cfg.json: not UTF-8 text"),
+    ("option-long-int", ["train", "--data", "data.csv", "--config", "cfg.json"],
+     {"cfg.json": '{"steps": 1' + "0" * 5000 + "}"}, "model.json",
+     "cfg.json: invalid JSON (Exceeds the limit (4300 digits) for integer string conversion"),
+    ("option-long-int-params", ["generate", "--params", '{"t_max": 1' + "0" * 5000 + "}"], {},
+     "sources.csv",
+     "params: invalid JSON (Exceeds the limit (4300 digits) for integer string conversion"),
     ("option-nested", ["generate", "--params", "[" * 100000], {}, "sources.csv",
      "params: invalid JSON (nested too deeply)"),
     ("option-json", ["generate", "--params", "{oops"], {}, "sources.csv",
@@ -545,6 +553,9 @@ _MALFORMED_FILES = [
                            "--hidden-sizes", _HUGE_SIZE], {}, "model.json", "Unable to allocate"),
     ("size-mix-hidden", ["mix", "--data", "data.csv", "--hidden", _HUGE_SIZE], {}, "mixed.csv",
      "Unable to allocate"),
+    # a size above the largest array dimension numpy takes
+    ("size-generate-n-above-intp", ["generate", "--n", str(10 ** 20)], {}, "sources.csv",
+     "n: must be <= 9223372036854775807, got 100000000000000000000"),
 ]
 assert len({case[0] for case in _MALFORMED_FILES}) == len(_MALFORMED_FILES)
 
