@@ -46,8 +46,8 @@ sys.path.insert(0, str(DATA_DIR.parent))  # the test-only oracles live in tests/
 from oracles import CalibrationRecord, ks_statistic, linear_fit_residual, save_record  # noqa: E402
 
 
-# the wii_* recipes keep the text of their frozen records: "WiiConfig()" in
-# them is what is now wii_index's default point count, num_points=None
+# the recipes keep the text of the frozen records: "WiiConfig()" in them is
+# what is now wii_index's default point count, num_points=None
 def _independent_wii() -> float:
     u = datagen.generate(datagen.SourceSpec(kind="uniform", d=2, n=10_000, seed=101))
     return wii.wii_index(u, rng=RngStream(202))
@@ -284,8 +284,8 @@ def unmix_reference(out: Path) -> None:
         recipe="sine_mixture(d=2, n=16384, seed=11) mixed by "
                "build_pipeline(2, 10, 16, RngStream(21)); TrainConfig "
                "defaults (beta=1, batch 256, adam 1e-3), 5000 steps, train "
-               "seeds 0/1/2; wii evaluated with wii_index's default point "
-               "count at RngStream(1); best-of-3 OTS must reach the threshold and "
+               "seeds 0/1/2; wii evaluated with WiiConfig() at "
+               "RngStream(1); best-of-3 OTS must reach the threshold and "
                "final wii must be <= 0.1x its value at initialization",
     ))
     (out / "golden_score_report.json").write_text(

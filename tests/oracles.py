@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -37,7 +36,7 @@ __all__ = [
     "rowwise_assignment",
     "loop_point_index",
     "loop_weighting_points",
-    "loop_haar_qr",
+    "loop_jacobi_svd",
     "fd_gradient",
     "fd_jacobian",
     "model_param_vector",
@@ -307,39 +306,49 @@ def loop_weighting_points(y, num_points: int, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the Haar draw's Householder QR on Python floats, one product and one
-# addition at a time: the reference core.sample_haar_orthogonal must match
-# bit for bit
+# the Jacobi SVD on numpy scalars and slice copies: the package's earlier
+# loop, kept as the reference that core._jacobi_svd must match bit for bit
 
 
-def loop_haar_qr(a):
-    """Q of a Householder QR of a square matrix, column k multiplied by the
-    sign of R's k-th diagonal entry (+1 where it is 0).  The reflections
-    run on the rows of [a | I], which end as [R | Q.T]; every sum adds its
-    products in row order."""
-    a = np.asarray(a, dtype=np.float64)
-    d = a.shape[0]
-    w = [[float(v) for v in row] + [float(i == j) for j in range(d)]
-         for i, row in enumerate(a)]
-    for k in range(d - 1):
-        rows, cols = range(k, d), range(k, 2 * d)
-        sums = []
-        for j in cols:
-            s = w[k][k] * w[k][j]
-            for i in rows[1:]:
-                s += w[i][k] * w[i][j]
-            sums.append(s)
-        x0 = w[k][k]
-        norm = math.sqrt(sums[0])
-        alpha = norm if x0 < 0.0 else -norm
-        half = norm * (norm + abs(x0))
-        coef = [(s - alpha * w[k][j]) / half for s, j in zip(sums, cols)]
-        v = [x0 - alpha] + [w[i][k] for i in rows[1:]]
-        for i, vi in zip(rows, v):
-            for j, c in zip(cols, coef):
-                w[i][j] -= vi * c
-    signs = [-1.0 if w[k][k] < 0.0 else 1.0 for k in range(d)]
-    return np.array([[w[j][d + i] * signs[j] for j in range(d)] for i in range(d)])
+def loop_jacobi_svd(a):
+    """One-sided Jacobi SVD of a square matrix: a = u * diag(s) @ v.T."""
+    u = np.array(a, dtype=np.float64, copy=True)
+    d = u.shape[0]
+    v = np.eye(d)
+    for _ in range(60):
+        off = 0.0
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                app = u[:, p] @ u[:, p]
+                aqq = u[:, q] @ u[:, q]
+                apq = u[:, p] @ u[:, q]
+                denom = np.sqrt(app * aqq)
+                if denom == 0.0 or not np.isfinite(denom):
+                    raise NumericalError("rank-deficient matrix in Jacobi sweep")
+                ratio = abs(apq) / denom
+                off = max(off, ratio)
+                if ratio <= 1e-14:
+                    continue
+                zeta = (aqq - app) / (2.0 * apq)
+                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
+                if zeta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = c * t
+                up = u[:, p].copy()
+                u[:, p] = c * up - s * u[:, q]
+                u[:, q] = s * up + c * u[:, q]
+                vp = v[:, p].copy()
+                v[:, p] = c * vp - s * v[:, q]
+                v[:, q] = s * vp + c * v[:, q]
+        if off <= 1e-14:
+            break
+    else:
+        raise NumericalError("Jacobi SVD did not converge")
+    sigma = np.sqrt(np.einsum("ij,ij->j", u, u))
+    if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
+        raise NumericalError("singular values collapsed in Jacobi SVD")
+    return u / sigma, sigma, v
 
 
 # ---------------------------------------------------------------------------

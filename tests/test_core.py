@@ -1,16 +1,11 @@
 """Core numerics: weighted statistics, normalization, correlations, Haar draws."""
 
 import hashlib
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wica_lab import core
 from wica_lab.cli import _load_dataset
 from wica_lab.core import (
     RngStream,
@@ -20,6 +15,7 @@ from wica_lab.core import (
     pearson_corr_matrix,
     sample_haar_orthogonal,
     save_csv,
+    _jacobi_svd,
     _weighted_moments,
 )
 from wica_lab.errors import (
@@ -27,6 +23,7 @@ from wica_lab.errors import (
     DimensionError,
     FileFormatError,
     NonFiniteError,
+    NumericalError,
 )
 from wica_lab.metrics import spearman_distance_matrix
 
@@ -34,7 +31,7 @@ from oracles import (
     csv_writer_save_csv,
     ks_statistic,
     loop_average_ranks,
-    loop_haar_qr,
+    loop_jacobi_svd,
     loop_weighted_cov,
     loop_weighted_mean,
 )
@@ -275,49 +272,43 @@ def test_polar_orthogonal_is_orthogonal():
         assert np.max(np.abs(q.T @ q - np.eye(d))) < 1e-12
 
 
-def test_haar_equals_the_scalar_loop_qr_bit_for_bit():
-    """Same products, same row-order sums, same reflection order: each
-    draw equals the scalar-loop Householder QR of its Gaussian matrix.  The
-    inputs are the Gaussian matrices the Jacobi SVD of earlier draws was
-    checked on, d from 2 to 32 with 8 seeds each."""
+def test_polar_orthogonal_of_orthogonal_is_itself():
+    q0 = sample_haar_orthogonal(4, RngStream(17))
+    u, _, v = _jacobi_svd(q0)
+    assert np.max(np.abs(u @ v.T - q0)) < 1e-12
+
+
+def _jacobi_cases():
     for d in (2, 3, 4, 5, 8, 16, 24, 32):
         for seed in range(8):
-            stream = RngStream(seed).split(f"jacobi{d}")
-            a = stream.generator().standard_normal((d, d))
-            q = sample_haar_orthogonal(d, RngStream(seed).split(f"jacobi{d}"))
-            assert q.flags.c_contiguous
-            assert np.array_equal(q, loop_haar_qr(a)), (d, seed)
+            yield RngStream(seed).split(f"jacobi{d}").generator().standard_normal((d, d))
+    yield sample_haar_orthogonal(6, RngStream(19))
 
 
-_KERNEL_SCRIPT = """
-import ctypes, glob, hashlib, os
-import numpy as np
-from wica_lab.core import RngStream, sample_haar_orthogonal
+def test_jacobi_svd_equals_the_scalar_loop_bit_for_bit():
+    """Same dots on the same strided columns, same scalar step, same
+    rotation order: u, s and v equal the earlier loop's, and the input is
+    not written."""
+    for a in _jacobi_cases():
+        before = a.copy()
+        got = _jacobi_svd(a)
+        assert np.array_equal(a, before)
+        for x, y in zip(got, loop_jacobi_svd(a)):
+            assert np.array_equal(x, y), a.shape
 
-libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
-corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-corename.restype = ctypes.c_char_p
-draws = [sample_haar_orthogonal(d, RngStream(d).split("kernel")).tobytes() for d in (2, 16, 32)]
-print(corename().decode(), hashlib.sha256(b"".join(draws)).hexdigest())
-"""
 
-
-def test_haar_draws_are_the_same_bytes_on_every_openblas_kernel():
-    """OpenBLAS picks its kernel when it loads (OPENBLAS_CORETYPE), so a
-    child process per kernel draws at d = 2, 16 and 32: a draw calls no
-    BLAS, so the three kernels give the same bytes."""
-    src = str(Path(core.__file__).resolve().parents[1])
-    digests = {}
-    for kernel in ("SkylakeX", "Haswell", "Sandybridge"):
-        done = subprocess.run(
-            [sys.executable, "-c", _KERNEL_SCRIPT], capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=kernel),
-        )
-        assert done.returncode == 0, done.stderr
-        name, digest = done.stdout.split()
-        digests[name] = digest
-    assert sorted(digests) == ["Haswell", "Sandybridge", "SkylakeX"]
-    assert len(set(digests.values())) == 1, digests
+@pytest.mark.parametrize("bad", ["zero_column", "nan"])
+def test_jacobi_svd_rejects_what_the_scalar_loop_rejects(bad):
+    a = RngStream(20).split("bad").generator().standard_normal((5, 5))
+    if bad == "zero_column":
+        a[:, 2] = 0.0
+    else:
+        a[3, 1] = np.nan
+    with pytest.raises(NumericalError) as want:
+        loop_jacobi_svd(a)
+    with pytest.raises(NumericalError) as got:
+        _jacobi_svd(a)
+    assert str(got.value) == str(want.value) == "rank-deficient matrix in Jacobi sweep"
 
 
 def test_haar_requires_d_at_least_two():
