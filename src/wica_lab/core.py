@@ -201,93 +201,35 @@ def _corr_of_centred_rows(zc: np.ndarray, sc: np.ndarray) -> np.ndarray:
 # orthogonal matrices
 
 
-_JACOBI_SWEEPS = 60
-_JACOBI_TOL = 1e-14
+def _product_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, each entry summed over the inner index in order, with no BLAS.
+
+    The (d, d, d) temporary of products takes 8*d**3 bytes: 32 KB at d=16,
+    16 MB at d=128."""
+    return np.add.reduce(a[:, :, None] * b[None, :, :], axis=1)
 
 
-def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi SVD of a square matrix: a = u * diag(s) @ v.T.
-
-    Rotates column pairs of a working copy until all pairs are mutually
-    orthogonal, accumulating the rotations in v.  Quadratic convergence
-    makes the sweep cap generous for any dimension this package meets.
-
-    u sits on top of v in one (2d x d) array, so that one rotation updates
-    both.  The dots run on length-d column views of stride d: ndarray.dot
-    and @ both hand such vectors to BLAS ddot with that stride, as on a
-    (d x d) u.  A dot on contiguous rows takes another ddot kernel, which
-    rounds differently.  The scalar step runs on Python floats, whose IEEE
-    results equal numpy's; the rotation runs as six ufuncs whose scalar
-    operands are 0-d arrays, which numpy dispatches faster than floats.
-    """
+def _polar_factor(a: np.ndarray) -> np.ndarray:
+    """Orthogonal polar factor of a square matrix: Newton-Schulz steps
+    x <- x - x (x.T x - I) / 2 from a at unit Frobenius norm (Higham,
+    Functions of Matrices, ch. 8).  A singular or non-finite a never converges."""
     d = a.shape[0]
-    w = np.empty((2 * d, d))
-    w[:d] = a
-    w[d:] = np.eye(d)
-    top = [w[:d, j] for j in range(d)]
-    col = [w[:, j] for j in range(d)]
-    cp, sp = np.empty(2 * d), np.empty(2 * d)
-    c, s = np.empty(()), np.empty(())
-    multiply, subtract, add = np.multiply, np.subtract, np.add
-    sqrt, copysign, isfinite = math.sqrt, math.copysign, math.isfinite
-    for _ in range(_JACOBI_SWEEPS):
-        off = 0.0
-        for p in range(d - 1):
-            up, wp = top[p], col[p]
-            for q in range(p + 1, d):
-                uq = top[q]
-                app = float(up.dot(up))
-                aqq = float(uq.dot(uq))
-                apq = float(up.dot(uq))
-                denom = sqrt(app * aqq)
-                if denom == 0.0 or not isfinite(denom):
-                    raise NumericalError("rank-deficient matrix in Jacobi sweep")
-                ratio = abs(apq) / denom
-                if ratio > off:
-                    off = ratio
-                if ratio <= _JACOBI_TOL:
-                    continue
-                zeta = (aqq - app) / (2.0 * apq)
-                if zeta == 0.0:
-                    t = 1.0
-                else:
-                    t = copysign(1.0, zeta) / (abs(zeta) + sqrt(1.0 + zeta * zeta))
-                cos = 1.0 / sqrt(1.0 + t * t)
-                c[()], s[()] = cos, cos * t
-                # p <- c*p - s*q and q <- s*p + c*q, each product rounded on
-                # its own as in c * up - s * uq
-                wq = col[q]
-                multiply(c, wp, out=cp)
-                multiply(s, wp, out=sp)
-                multiply(s, wq, out=wp)
-                subtract(cp, wp, out=wp)
-                multiply(c, wq, out=wq)
-                add(sp, wq, out=wq)
-        if off <= _JACOBI_TOL:
-            break
-    else:
-        raise NumericalError("Jacobi SVD did not converge")
-    u = w[:d]
-    sigma = np.sqrt(np.einsum("ij,ij->j", u, u))
-    if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
-        raise NumericalError("singular values collapsed in Jacobi SVD")
-    return u / sigma, sigma, w[d:]
+    x = a / np.sqrt(np.add.reduce(a.ravel() * a.ravel()))
+    for _ in range(100):
+        r = _product_in_order(np.ascontiguousarray(x.T), x) - np.eye(d)
+        if np.max(np.abs(r)) <= d * 1e-15:
+            return x
+        x = x - 0.5 * _product_in_order(x, r)
+    raise NumericalError("polar iteration did not converge")
 
 
 def sample_haar_orthogonal(d: int, rng: RngStream) -> np.ndarray:
-    """Draw a d x d orthogonal matrix from the Haar measure.
-
-    The polar factor of a Gaussian matrix is Haar-distributed; the factor
-    comes from the in-house Jacobi SVD, so draws do not depend on LAPACK.
-    They do depend on BLAS: the SVD's dots are ddot calls on strided
-    columns, and about 6 in 10 of those differ in the last bit from a
-    sequential sum at d from 4 to 32.  A draw repeats bit for bit under
-    the same numpy and BLAS build, not across builds or kernels.
-    """
+    """Draw a d x d orthogonal matrix from the Haar measure: the polar
+    factor of a Gaussian matrix.  _polar_factor makes no BLAS or LAPACK
+    call, so a draw repeats bit for bit on every x86 BLAS kernel."""
     if d < 2:
         raise DimensionError(f"dimension must be at least 2, got {d}")
-    u, _, v = _jacobi_svd(rng.generator().standard_normal((d, d)))
-    return u @ v.T
+    return _polar_factor(rng.generator().standard_normal((d, d)))
 
 
 # ---------------------------------------------------------------------------

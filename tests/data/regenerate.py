@@ -18,10 +18,12 @@ fixture moved.
 
 Each fixture embeds the recipe and seeds that produced it. Scoring
 (Pearson, Spearman, OTS, max_corr) uses fixed-order pairwise sums and no
-BLAS, so it reproduces on any machine. The three golden byte-for-byte
-fixtures (score report, CLI report, bench CSVs) still bake in the
-training arithmetic, whose matrix products run on BLAS gemm; regenerate
-them when moving the suite to a platform whose gemm rounds differently.
+BLAS, so it reproduces on any machine. Haar draws are BLAS-free too: their
+products are elementwise multiplies summed in a fixed order. The three
+golden byte-for-byte fixtures (score report, CLI report, bench CSVs)
+still bake in the mixing and training arithmetic, whose matrix products
+run on BLAS gemm; regenerate them when moving the suite to a platform
+whose gemm rounds differently.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ sys.path.insert(0, str(DATA_DIR.parent))  # the test-only oracles live in tests/
 from oracles import CalibrationRecord, ks_statistic, linear_fit_residual, save_record  # noqa: E402
 
 
-# the recipes keep the text of the frozen records: "WiiConfig()" in them is
-# what is now wii_index's default point count, num_points=None
+# the wii_* recipes keep the text of their frozen records: "WiiConfig()"
+# in them is what is now wii_index's default point count, num_points=None
 def _independent_wii() -> float:
     u = datagen.generate(datagen.SourceSpec(kind="uniform", d=2, n=10_000, seed=101))
     return wii.wii_index(u, rng=RngStream(202))
@@ -284,7 +286,7 @@ def unmix_reference(out: Path) -> None:
         recipe="sine_mixture(d=2, n=16384, seed=11) mixed by "
                "build_pipeline(2, 10, 16, RngStream(21)); TrainConfig "
                "defaults (beta=1, batch 256, adam 1e-3), 5000 steps, train "
-               "seeds 0/1/2; wii evaluated with WiiConfig() at "
+               "seeds 0/1/2; wii evaluated by wii_index's defaults at "
                "RngStream(1); best-of-3 OTS must reach the threshold and "
                "final wii must be <= 0.1x its value at initialization",
     ))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -36,7 +37,7 @@ __all__ = [
     "rowwise_assignment",
     "loop_point_index",
     "loop_weighting_points",
-    "loop_jacobi_svd",
+    "loop_polar_factor",
     "fd_gradient",
     "fd_jacobian",
     "model_param_vector",
@@ -306,49 +307,65 @@ def loop_weighting_points(y, num_points: int, rng) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the Jacobi SVD on numpy scalars and slice copies: the package's earlier
-# loop, kept as the reference that core._jacobi_svd must match bit for bit
+# the polar iteration on Python floats, the reference that
+# core._polar_factor must match bit for bit
 
 
-def loop_jacobi_svd(a):
-    """One-sided Jacobi SVD of a square matrix: a = u * diag(s) @ v.T."""
-    u = np.array(a, dtype=np.float64, copy=True)
-    d = u.shape[0]
-    v = np.eye(d)
-    for _ in range(60):
-        off = 0.0
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                app = u[:, p] @ u[:, p]
-                aqq = u[:, q] @ u[:, q]
-                apq = u[:, p] @ u[:, q]
-                denom = np.sqrt(app * aqq)
-                if denom == 0.0 or not np.isfinite(denom):
-                    raise NumericalError("rank-deficient matrix in Jacobi sweep")
-                ratio = abs(apq) / denom
-                off = max(off, ratio)
-                if ratio <= 1e-14:
-                    continue
-                zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                up = u[:, p].copy()
-                u[:, p] = c * up - s * u[:, q]
-                u[:, q] = s * up + c * u[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        if off <= 1e-14:
-            break
-    else:
-        raise NumericalError("Jacobi SVD did not converge")
-    sigma = np.sqrt(np.einsum("ij,ij->j", u, u))
-    if np.any(sigma <= 0.0) or not np.all(np.isfinite(sigma)):
-        raise NumericalError("singular values collapsed in Jacobi SVD")
-    return u / sigma, sigma, v
+def _pairwise_sum(v: list) -> float:
+    """numpy's pairwise sum of a contiguous float64 vector, step by step:
+    eight running sums over blocks of at most 128 values, halves above."""
+    n = len(v)
+    if n < 8:
+        res = 0.0
+        for t in v:
+            res += t
+        return res
+    if n <= 128:
+        r = v[:8]
+        i = 8
+        while i < n - n % 8:
+            for j in range(8):
+                r[j] += v[i + j]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for t in v[i:]:
+            res += t
+        return res
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(v[:half]) + _pairwise_sum(v[half:])
+
+
+def _loop_product(a: list, b: list) -> list:
+    """a @ b with each entry summed over k = 0, 1, ... in turn."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            s = row[0] * b[0][j]
+            for k in range(1, len(b)):
+                s += row[k] * b[k][j]
+            out_row.append(s)
+        out.append(out_row)
+    return out
+
+
+def loop_polar_factor(a) -> np.ndarray:
+    """Newton-Schulz polar factor: scale a to unit Frobenius norm, then
+    x <- x - x (x.T x - I) / 2 until every entry of x.T x - I is within
+    d * 1e-15, for at most 100 steps."""
+    a = np.asarray(a, dtype=np.float64)
+    d = a.shape[0]
+    norm = math.sqrt(_pairwise_sum([t * t for t in a.ravel().tolist()]))
+    x = [[t / norm for t in row] for row in a.tolist()]
+    for _ in range(100):
+        xtx = _loop_product([list(col) for col in zip(*x)], x)
+        r = [[v - (1.0 if i == j else 0.0) for j, v in enumerate(row)]
+             for i, row in enumerate(xtx)]
+        if all(abs(v) <= d * 1e-15 for row in r for v in row):
+            return np.array(x)
+        xr = _loop_product(x, r)
+        x = [[u - 0.5 * v for u, v in zip(xrow, prow)] for xrow, prow in zip(x, xr)]
+    raise NumericalError("polar iteration did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Core numerics: weighted statistics, normalization, correlations, Haar draws."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wica_lab import core
 from wica_lab.cli import _load_dataset
 from wica_lab.core import (
     RngStream,
@@ -15,7 +20,7 @@ from wica_lab.core import (
     pearson_corr_matrix,
     sample_haar_orthogonal,
     save_csv,
-    _jacobi_svd,
+    _polar_factor,
     _weighted_moments,
 )
 from wica_lab.errors import (
@@ -31,7 +36,7 @@ from oracles import (
     csv_writer_save_csv,
     ks_statistic,
     loop_average_ranks,
-    loop_jacobi_svd,
+    loop_polar_factor,
     loop_weighted_cov,
     loop_weighted_mean,
 )
@@ -274,41 +279,75 @@ def test_polar_orthogonal_is_orthogonal():
 
 def test_polar_orthogonal_of_orthogonal_is_itself():
     q0 = sample_haar_orthogonal(4, RngStream(17))
-    u, _, v = _jacobi_svd(q0)
-    assert np.max(np.abs(u @ v.T - q0)) < 1e-12
+    assert np.max(np.abs(_polar_factor(q0) - q0)) < 1e-12
 
 
-def _jacobi_cases():
+def _polar_cases():
     for d in (2, 3, 4, 5, 8, 16, 24, 32):
         for seed in range(8):
             yield RngStream(seed).split(f"jacobi{d}").generator().standard_normal((d, d))
     yield sample_haar_orthogonal(6, RngStream(19))
 
 
-def test_jacobi_svd_equals_the_scalar_loop_bit_for_bit():
-    """Same dots on the same strided columns, same scalar step, same
-    rotation order: u, s and v equal the earlier loop's, and the input is
-    not written."""
-    for a in _jacobi_cases():
+def test_polar_factor_equals_the_scalar_loop_bit_for_bit():
+    """Same scale, same products summed in the same order, same stopping
+    rule: the factor equals the Python-float loop's, and the input is not
+    written."""
+    for a in _polar_cases():
         before = a.copy()
-        got = _jacobi_svd(a)
+        got = _polar_factor(a)
         assert np.array_equal(a, before)
-        for x, y in zip(got, loop_jacobi_svd(a)):
-            assert np.array_equal(x, y), a.shape
+        assert np.array_equal(got, loop_polar_factor(a)), a.shape
 
 
 @pytest.mark.parametrize("bad", ["zero_column", "nan"])
-def test_jacobi_svd_rejects_what_the_scalar_loop_rejects(bad):
+def test_polar_factor_rejects_a_singular_or_nonfinite_matrix(bad):
+    """A zero singular value stays zero and a NaN spreads, so the iteration
+    never converges and gives up after its step cap."""
     a = RngStream(20).split("bad").generator().standard_normal((5, 5))
     if bad == "zero_column":
         a[:, 2] = 0.0
     else:
         a[3, 1] = np.nan
-    with pytest.raises(NumericalError) as want:
-        loop_jacobi_svd(a)
-    with pytest.raises(NumericalError) as got:
-        _jacobi_svd(a)
-    assert str(got.value) == str(want.value) == "rank-deficient matrix in Jacobi sweep"
+    with pytest.raises(NumericalError, match="polar iteration did not converge"):
+        _polar_factor(a)
+    with pytest.raises(NumericalError, match="polar iteration did not converge"):
+        loop_polar_factor(a)
+
+
+_KERNEL_SCRIPT = """
+import ctypes, glob, hashlib, os
+import numpy as np
+from wica_lab.core import RngStream, sample_haar_orthogonal
+
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*"))
+corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+corename.restype = ctypes.c_char_p
+print(corename().decode())
+for d in (2, 16, 32):
+    h = hashlib.sha256()
+    for seed in range(5):
+        h.update(sample_haar_orthogonal(d, RngStream(seed).split("kernel")).tobytes())
+    print(d, h.hexdigest())
+"""
+
+
+def test_haar_draws_are_the_same_bytes_on_every_blas_kernel():
+    """OpenBLAS picks its kernels per process (OPENBLAS_CORETYPE), so each
+    kernel draws in a child process; a draw that called BLAS would round
+    differently on the AVX-512, AVX2 and AVX kernels."""
+    env = dict(os.environ, PYTHONPATH=str(Path(core.__file__).resolve().parents[1]))
+    outs = {}
+    for kernel in ("SkylakeX", "Haswell", "Sandybridge"):
+        done = subprocess.run(
+            [sys.executable, "-c", _KERNEL_SCRIPT], env=dict(env, OPENBLAS_CORETYPE=kernel),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        name, *hashes = done.stdout.splitlines()
+        assert name == kernel
+        outs[kernel] = hashes
+    assert outs["SkylakeX"] == outs["Haswell"] == outs["Sandybridge"]
 
 
 def test_haar_requires_d_at_least_two():
