@@ -76,13 +76,14 @@ class SourceSpec:
 
 
 def _lattice(spec: SourceSpec, rng: RngStream) -> np.ndarray:
-    # n is the per-axis count; total rows are n^d; rng goes unused
-    rows = spec.n ** spec.d
-    if rows > _LATTICE_ROW_CAP:
-        raise DimensionError(
-            f"lattice with n={spec.n}, d={spec.d} has {rows} rows, "
-            f"cap is {_LATTICE_ROW_CAP}"
-        )
+    # n is the per-axis count; rows are n^d, multiplied out only up to the
+    # cap, since n^d itself can take minutes to compute; rng goes unused
+    rows = 1
+    for _ in range(spec.d):
+        rows *= spec.n
+        if rows > _LATTICE_ROW_CAP:
+            raise DimensionError(f"lattice with n={spec.n}, d={spec.d} has more "
+                                 f"than {_LATTICE_ROW_CAP} rows, the cap")
     axis = np.linspace(-1.0, 1.0, spec.n)
     grids = np.meshgrid(*([axis] * spec.d), indexing="ij")
     return np.column_stack([g.reshape(-1) for g in grids])
@@ -98,18 +99,20 @@ def _laplace(spec: SourceSpec, rng: RngStream) -> np.ndarray:
 
 def _sine_mixture(spec: SourceSpec, rng: RngStream) -> np.ndarray:
     p = spec.params
+    # rejection keeps frequencies apart; near-equal pairs would trace a
+    # closed Lissajous figure and reintroduce dependence.  d frequencies
+    # min_sep apart span (d - 1) * min_sep: a narrower range fails at once
+    fits = (spec.d - 1) * p["min_sep"] <= p["omega_max"] - p["omega_min"]
     gen = rng.generator()
     omegas: list[float] = []
-    # rejection keeps frequencies apart; near-equal pairs would trace a
-    # closed Lissajous figure and reintroduce dependence
     attempts = 0
     while len(omegas) < spec.d:
-        cand = float(gen.uniform(p["omega_min"], p["omega_max"]))
-        attempts += 1
-        if attempts > 1000 * spec.d:
+        if not fits or attempts == 1000 * spec.d:
             raise DimensionError(
                 "cannot fit frequencies: shrink min_sep or widen the omega range"
             )
+        cand = float(gen.uniform(p["omega_min"], p["omega_max"]))
+        attempts += 1
         if all(abs(cand - o) >= p["min_sep"] for o in omegas):
             omegas.append(cand)
     phases = gen.uniform(0.0, 2.0 * np.pi, size=spec.d)

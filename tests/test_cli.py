@@ -300,6 +300,12 @@ _MALFORMED = [
     ("generate5", "generate",
      ["--kind", "sine_mixture", "--params", '{"omega_min": 5, "omega_max": 1}'], None,
      "sources.csv", "omega_min 5.0 exceeds"),
+    # n^d is never computed in full, and 20000 frequencies 0.3 apart cannot
+    # fit in [1, 4]: both are refused at once
+    ("generate6", "generate", ["--kind", "lattice", "--d", "300000", "--n", "3"], None,
+     "sources.csv", "lattice with n=3, d=300000 has more than 1000000 rows, the cap"),
+    ("generate7", "generate", ["--kind", "sine_mixture", "--d", "20000"], None,
+     "sources.csv", "cannot fit frequencies"),
     ("bench4", "bench", _GRID, {"source_params": {"t_max": "x"}}, "grid/summary.csv",
      "t_max: expected"),
     # the grid is checked before any cell runs
