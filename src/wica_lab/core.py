@@ -201,12 +201,22 @@ def _corr_of_centred_rows(zc: np.ndarray, sc: np.ndarray) -> np.ndarray:
 # orthogonal matrices
 
 
+_PRODUCT_BYTES = 4 * 2 ** 20  # of products that _product_in_order holds at once
+
+
 def _product_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, each entry summed over the inner index in order, with no BLAS.
 
-    The (d, d, d) temporary of products takes 8*d**3 bytes: 32 KB at d=16,
-    16 MB at d=128."""
-    return np.add.reduce(a[:, :, None] * b[None, :, :], axis=1)
+    The products are one temporary up to _PRODUCT_BYTES (every d <= 80), else
+    one per block of rows of a, of at most that size or one row's; a row's sums
+    do not depend on its block, so the bytes are those of one call."""
+    rows = max(_PRODUCT_BYTES // (8 * b.size), 1)
+    if rows >= a.shape[0]:
+        return np.add.reduce(a[:, :, None] * b[None, :, :], axis=1)
+    out = np.empty((a.shape[0], b.shape[1]))
+    for i in range(0, a.shape[0], rows):
+        np.add.reduce(a[i:i + rows, :, None] * b[None, :, :], axis=1, out=out[i:i + rows])
+    return out
 
 
 def _polar_factor(a: np.ndarray) -> np.ndarray:
@@ -335,21 +345,25 @@ def _records(path, reader):
         raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from None
 
 
+def _loads(text: str, path=None):
+    """json.loads, a FileFormatError for text it cannot read: prefixed by the
+    path and a syntax error's line and column if a path is given."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        at, why = f":{exc.lineno}:{exc.colno}", exc.msg
+    except RecursionError:
+        at, why = "", "nested too deeply"
+    except ValueError as exc:  # an integer with more digits than int() reads
+        at, why = "", exc
+    prefix = "" if path is None else f"{path}{at}: "
+    raise FileFormatError(f"{prefix}invalid JSON ({why})") from None
+
+
 def _read_json_object(path, fields=()) -> dict:
     """The JSON object in a file, checked to carry the given fields."""
     path = Path(path)
-    text = _read_text(path)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})"
-        ) from None
-    except RecursionError:
-        raise FileFormatError(f"{path}: invalid JSON (nested too deeply)") from None
-    except ValueError as exc:  # an integer with more digits than int() reads
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
-    return _require_fields(doc, fields, str(path))
+    return _require_fields(_loads(_read_text(path), path), fields, str(path))
 
 
 def _require_fields(obj, fields, where: str) -> dict:
@@ -429,14 +443,7 @@ def _list_of(parse):
 def _object(value) -> dict:
     """A JSON object, or a flag string that holds one."""
     if isinstance(value, str):
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"invalid JSON ({exc.msg})") from None
-        except RecursionError:
-            raise FileFormatError("invalid JSON (nested too deeply)") from None
-        except ValueError as exc:  # an integer with more digits than int() reads
-            raise FileFormatError(f"invalid JSON ({exc})") from None
+        value = _loads(value)
     if not isinstance(value, dict):
         raise FileFormatError(f"expected a JSON object, got {value!r}")
     return value

@@ -16,6 +16,7 @@ Five families, all componentwise normalized on the way out:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
@@ -101,10 +102,12 @@ def _sine_mixture(spec: SourceSpec, rng: RngStream) -> np.ndarray:
     p = spec.params
     # rejection keeps frequencies apart; near-equal pairs would trace a
     # closed Lissajous figure and reintroduce dependence.  d frequencies
-    # min_sep apart span (d - 1) * min_sep: a narrower range fails at once
+    # min_sep apart span (d - 1) * min_sep: a narrower range fails at once.
+    # |cand - o| grows as o moves off cand: check the two sorted neighbours
     fits = (spec.d - 1) * p["min_sep"] <= p["omega_max"] - p["omega_min"]
     gen = rng.generator()
     omegas: list[float] = []
+    ordered: list[float] = []
     attempts = 0
     while len(omegas) < spec.d:
         if not fits or attempts == 1000 * spec.d:
@@ -113,8 +116,10 @@ def _sine_mixture(spec: SourceSpec, rng: RngStream) -> np.ndarray:
             )
         cand = float(gen.uniform(p["omega_min"], p["omega_max"]))
         attempts += 1
-        if all(abs(cand - o) >= p["min_sep"] for o in omegas):
+        i = bisect.bisect_left(ordered, cand)
+        if all(abs(cand - o) >= p["min_sep"] for o in ordered[max(i - 1, 0):i + 1]):
             omegas.append(cand)
+            ordered.insert(i, cand)
     phases = gen.uniform(0.0, 2.0 * np.pi, size=spec.d)
     t = np.linspace(0.0, p["t_max"], spec.n)
     return np.sin(np.outer(t, np.array(omegas)) + phases)

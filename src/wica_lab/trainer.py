@@ -5,12 +5,13 @@ The cost of a minibatch X with weighting points p_1..p_K is
 
     total = rec(X) + beta * wii(normalize(E(X)); p_1..p_K)
 
-and every step minimizes it by exact reverse-mode differentiation
-written out by hand: through the decoder, the componentwise
-normalization (including its small-sigma guard), the Gaussian log
-weights, the weighted covariance and the pair coefficients c_ij.  The
-only quantities treated as constants are the weighting points and the
-max-shift of the log weights; the shift is exactly gradient-free
+with rec(X) the squared reconstruction error summed over a row and
+averaged over the batch, and every Adam step minimizes it by exact
+reverse-mode differentiation written out by hand: through the decoder,
+the componentwise normalization (including its small-sigma guard), the
+Gaussian log weights, the weighted covariance and the pair coefficients
+c_ij.  The only quantities treated as constants are the weighting points
+and the max-shift of the log weights; the shift is exactly gradient-free
 because every weighted statistic is invariant to rescaling all weights.
 
 The wii term is evaluated and differentiated by wii.py's kernel, the one
@@ -48,7 +49,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .core import (
-    RngStream, _array_from_json, _at_least, _choice, _config_options, _float, _int, _list_of,
+    RngStream, _array_from_json, _at_least, _config_options, _float, _int, _list_of,
     _normalize_parts, _parse, _parse_fields, _parse_options, _read_json_object, _require_fields,
     _size, _where, as_data, normalize_componentwise,
 )
@@ -165,12 +166,10 @@ class AutoEncoderModel:
 class TrainConfig:
     """Everything a run depends on; two configs equal means two runs equal.
 
-    num_weighting_points=None resolves to d.  rec_norm picks whether the
-    reconstruction term is a batch mean ("mean", default, keeps beta
-    comparable across batch sizes) or the raw sum ("sum").  Each field is
-    read by its parser in _FIELDS, which the CLI's options and load_model
-    share, so a value of the wrong type is a FileFormatError and a value
-    out of range a DimensionError.
+    num_weighting_points=None resolves to d.  Each field is read by its
+    parser in _FIELDS, which the CLI's options and load_model share, so a
+    value of the wrong type is a FileFormatError and a value out of range
+    a DimensionError.
     """
 
     beta: float = 1.0
@@ -179,17 +178,14 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     num_weighting_points: int | None = None
-    optimizer: str = "adam"
     log_every: int = 50
     hidden_sizes: tuple[int, ...] = (128, 128, 128)
-    rec_norm: str = "mean"
 
     _FIELDS: ClassVar[dict] = {
         "beta": _at_least(_float, 0.0), "batch_size": _at_least(_int, 2),
         "steps": _at_least(_int, 0), "learning_rate": _at_least(_float, 0.0, strict=True),
         "seed": _at_least(_int, 0), "num_weighting_points": _NUM_POINTS,
-        "optimizer": _choice("adam", "sgd"), "log_every": _at_least(_int, 1),
-        "hidden_sizes": _list_of(_size(_at_least(_int, 1))), "rec_norm": _choice("mean", "sum"),
+        "log_every": _at_least(_int, 1), "hidden_sizes": _list_of(_size(_at_least(_int, 1))),
     }
 
     def __post_init__(self) -> None:
@@ -382,14 +378,13 @@ def _cost_forward_backward(
     recon = _mlp_forward(model.decoder, enc_acts[-1], dec_acts)
     resid = recon - x
     rec = float((resid ** 2).sum())
-    if cfg.rec_norm == "mean":
-        rec /= n
+    rec /= n
     total = rec + cfg.beta * wii_value
     if not need_grad:
         return total, rec, wii_value, None
 
     # reconstruction path
-    d_recon = 2.0 * resid / (n if cfg.rec_norm == "mean" else 1)
+    d_recon = 2.0 * resid / n
     dec_gw, dec_gb, d_enc_out = _mlp_backward(model.decoder, dec_acts, d_recon)
 
     # independence path: dY summed over the surviving points, then pulled
@@ -456,14 +451,6 @@ class _Adam:
         theta -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + self.eps)
 
 
-class _Sgd:
-    def __init__(self, theta: np.ndarray, lr: float) -> None:
-        self.lr = lr
-
-    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
-        theta -= self.lr * g
-
-
 def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
     """Run the full minibatch loop; deterministic in (x, cfg).
 
@@ -492,7 +479,7 @@ def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
     batch_gen = root.split("batches").generator()
     points_rng = root.split("points")
 
-    opt = (_Adam if cfg.optimizer == "adam" else _Sgd)(model.theta, cfg.learning_rate)
+    opt = _Adam(model.theta, cfg.learning_rate)
     records: list[TraceRecord] = []
     for step in range(1, cfg.steps + 1):
         idx = batch_gen.choice(n, size=cfg.batch_size, replace=False)

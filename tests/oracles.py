@@ -37,6 +37,7 @@ __all__ = [
     "rowwise_assignment",
     "loop_point_index",
     "loop_weighting_points",
+    "loop_sine_mixture",
     "loop_polar_factor",
     "fd_gradient",
     "fd_jacobian",
@@ -304,6 +305,26 @@ def loop_weighting_points(y, num_points: int, rng) -> np.ndarray:
         rows = gen.choice(n, size=d, replace=False)
         points[k] = y[rows].mean(axis=0)
     return points
+
+
+def loop_sine_mixture(spec, rng) -> np.ndarray:
+    """sine_mixture sources before normalization, each candidate frequency
+    checked against every accepted one: the package's earlier rejection
+    loop, with its 1000 * d attempt cap.  rng is an RngStream."""
+    p = spec.params
+    gen = rng.generator()
+    omegas: list[float] = []
+    attempts = 0
+    while len(omegas) < spec.d:
+        if attempts == 1000 * spec.d:
+            raise DimensionError("cannot fit frequencies")
+        cand = float(gen.uniform(p["omega_min"], p["omega_max"]))
+        attempts += 1
+        if all(abs(cand - o) >= p["min_sep"] for o in omegas):
+            omegas.append(cand)
+    phases = gen.uniform(0.0, 2.0 * np.pi, size=spec.d)
+    t = np.linspace(0.0, p["t_max"], spec.n)
+    return np.sin(np.outer(t, np.array(omegas)) + phases)
 
 
 # ---------------------------------------------------------------------------

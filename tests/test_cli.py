@@ -377,10 +377,21 @@ def test_diverging_training_exits_3(tmp_path, monkeypatch, capsys):
         rc = main([
             "train", "--data", "sources.csv", "--steps", "60",
             "--batch-size", "64", "--hidden-sizes", "8",
-            "--learning-rate", "1e6", "--optimizer", "sgd",
+            "--learning-rate", "1e300",
         ])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [("--optimizer", "adam"), ("--rec-norm", "mean")])
+def test_train_has_no_optimizer_or_rec_norm_flag(tmp_path, monkeypatch, capsys, flag, value):
+    """Training runs Adam on the batch-mean reconstruction term, with no
+    flag to pick another."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", "sources.csv", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_flag_and_config_file_record_the_same_config_hash(tmp_path, monkeypatch):
@@ -526,6 +537,11 @@ _MALFORMED_FILES = [
     ("model-config-key", _ENCODE,
      {"m.json": _GOOD_MODEL.replace('"hidden_sizes": []', '"hidden_sizes": [], "bogus": 1')},
      "encoded.csv", "m.json: bad config: unknown key 'bogus'"),
+    # a model saved while the config still named its optimizer
+    ("model-config-optimizer", _ENCODE,
+     {"m.json": _GOOD_MODEL.replace('"hidden_sizes": []',
+                                    '"hidden_sizes": [], "optimizer": "adam"')},
+     "encoded.csv", "m.json: bad config: unknown key 'optimizer'"),
     ("model-config-list", _ENCODE,
      {"m.json": _GOOD_MODEL.replace('"config": {"hidden_sizes": []}', '"config": []')},
      "encoded.csv", "error: m.json: config: must be a JSON object"),

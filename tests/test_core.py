@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from wica_lab.core import (
     sample_haar_orthogonal,
     save_csv,
     _polar_factor,
+    _product_in_order,
     _weighted_moments,
 )
 from wica_lab.errors import (
@@ -275,6 +277,28 @@ def test_polar_orthogonal_is_orthogonal():
     for d in (2, 3, 5, 8):
         q = sample_haar_orthogonal(d, g)
         assert np.max(np.abs(q.T @ q - np.eye(d))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 80, 96])
+def test_product_in_row_blocks_equals_one_block_bit_for_bit(d):
+    """From d=81 on, the products are held one block of rows at a time;
+    every entry keeps its sum, so the bytes are those of the one call."""
+    g = RngStream(d).split("product").generator()
+    a, b = g.standard_normal((d, d)), g.standard_normal((d, d))
+    one_call = np.add.reduce(a[:, :, None] * b[None], axis=1)
+    assert np.array_equal(_product_in_order(a, b), one_call)
+
+
+def test_haar_draw_at_d256_holds_a_bounded_temporary():
+    """The products of one (256, 256) step would take 128 MiB at once."""
+    tracemalloc.start()
+    try:
+        q = sample_haar_orthogonal(256, RngStream(21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
+    assert np.max(np.abs(q.T @ q - np.eye(256))) < 1e-12
 
 
 def test_polar_orthogonal_of_orthogonal_is_itself():

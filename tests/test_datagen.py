@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from wica_lab.core import RngStream, normalize_componentwise, pearson_corr_matrix
-from wica_lab.datagen import KINDS, SourceSpec, generate
+from wica_lab.datagen import KINDS, SourceSpec, _sine_mixture, generate
 from wica_lab.errors import DimensionError, FileFormatError
 from wica_lab.wii import wii_index
 
-from oracles import load_record
+from oracles import load_record, loop_sine_mixture
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,6 +153,33 @@ def test_sine_mixture_rejects_unfittable_frequencies():
     )
     with pytest.raises(DimensionError):
         generate(spec)
+
+
+@pytest.mark.parametrize("d, params, outcomes", [
+    (2, {}, {"drawn"}),
+    (5, {"omega_max": 4.0}, {"drawn"}),
+    (12, {"omega_max": 12.0, "min_sep": 0.5}, {"drawn"}),
+    # fits, but rejection gives up at its attempt cap on some seeds
+    (5, {"omega_max": 2.6}, {"drawn", "capped"}),
+], ids=["d2", "d5", "d12", "d5-capped"])
+def test_sine_mixture_draws_what_the_all_pairs_loop_draws(d, params, outcomes):
+    """Checking a candidate against its two sorted neighbours accepts what
+    checking it against every accepted frequency does: the same sources,
+    or a DimensionError on the same seeds."""
+    seen = set()
+    for seed in range(12):
+        spec = SourceSpec(kind="sine_mixture", d=d, n=64, seed=seed, params=params)
+        stream = RngStream(seed).split("sine")
+        try:
+            want = loop_sine_mixture(spec, stream)
+        except DimensionError:
+            with pytest.raises(DimensionError, match="cannot fit frequencies"):
+                _sine_mixture(spec, RngStream(seed).split("sine"))
+            seen.add("capped")
+            continue
+        assert np.array_equal(_sine_mixture(spec, RngStream(seed).split("sine")), want)
+        seen.add("drawn")
+    assert seen == outcomes
 
 
 # ---------------------------------------------------------------------------
