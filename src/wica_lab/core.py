@@ -207,12 +207,10 @@ _PRODUCT_BYTES = 4 * 2 ** 20  # of products that _product_in_order holds at once
 def _product_in_order(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, each entry summed over the inner index in order, with no BLAS.
 
-    The products are one temporary up to _PRODUCT_BYTES (every d <= 80), else
-    one per block of rows of a, of at most that size or one row's; a row's sums
-    do not depend on its block, so the bytes are those of one call."""
+    The products are one temporary per block of rows of a, of at most
+    _PRODUCT_BYTES or one row's; a row's sums do not depend on its block, so
+    the bytes are those of one call."""
     rows = max(_PRODUCT_BYTES // (8 * b.size), 1)
-    if rows >= a.shape[0]:
-        return np.add.reduce(a[:, :, None] * b[None, :, :], axis=1)
     out = np.empty((a.shape[0], b.shape[1]))
     for i in range(0, a.shape[0], rows):
         np.add.reduce(a[i:i + rows, :, None] * b[None, :, :], axis=1, out=out[i:i + rows])

@@ -281,7 +281,7 @@ def test_polar_orthogonal_is_orthogonal():
 
 @pytest.mark.parametrize("d", [2, 80, 96])
 def test_product_in_row_blocks_equals_one_block_bit_for_bit(d):
-    """From d=81 on, the products are held one block of rows at a time;
+    """Up to d=80 the products are one block of rows, from d=81 on several;
     every entry keeps its sum, so the bytes are those of the one call."""
     g = RngStream(d).split("product").generator()
     a, b = g.standard_normal((d, d)), g.standard_normal((d, d))
