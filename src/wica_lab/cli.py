@@ -7,14 +7,15 @@ with the same flags reproduces its artifacts byte for byte.
 
 Each subcommand declares its options once, in a table of (parser,
 default) entries registered with it; the training options are
-TrainConfig's fields, typed by its own parsers.  The table generates the
-flags, and main resolves the table registered with each subcommand:
-every value, from a flag, a positional, a --config JSON file or bench's
-"train" object, is read by its option's parser.  A value a parser cannot
-read exactly or finds out of range, or a key the table does not declare,
-is a usage error.  main passes the command its parsed config and records
-the manifest under the command's name, so a flag and a config file that
-describe the same run record the same config and config hash.
+TrainConfig's fields, typed by its own parsers.  Every key of a table is
+both a --flag and a --config key, and main resolves the table registered
+with each subcommand: every value, from a flag, a positional, a --config
+JSON file or bench's "train" object, is read by its option's parser.  A
+value a parser cannot read exactly or finds out of range, or a key the
+table does not declare, is a usage error.  main passes the command its
+parsed config and records the manifest under the command's name, so a
+flag and a config file that describe the same run record the same config
+and config hash.
 
 Exit codes: 0 success; 2 a malformed option or input file (unreadable, not
 UTF-8, or not the CSV or JSON its reader expects) or a size numpy cannot
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import datagen, metrics, mixer, trainer, wii
 from .core import (
-    RngStream, _at_least, _bool, _choice, _config_options, _distinct, _int, _list_of, _object,
+    RngStream, _at_least, _choice, _config_options, _distinct, _int, _list_of, _object,
     _parse_options, _read_json_object, _size, _str, as_data, load_csv, normalize_componentwise, save_csv,
 )
 from .errors import DimensionError, FileFormatError, NonFiniteError, WicaError
@@ -104,7 +105,6 @@ _TRAIN = {
 _ENCODE = {"model": (_str, _REQUIRED), "data": (_str, _REQUIRED), "out": (_str, "encoded.csv")}
 _SCORE = {
     "z": (_str, _REQUIRED), "sources": (_str, _REQUIRED), "out": (_str, "report.json"),
-    "matrices": (_bool, True),
 }
 _WII = {
     "data": (_str, _REQUIRED), "num_points": (wii._NUM_POINTS, None), "seed": (_int, 0),
@@ -205,7 +205,7 @@ def _cmd_score(cfg: dict, record) -> int:
     z_path, s_path = Path(cfg["z"]), Path(cfg["sources"])
     report = metrics.score(_load_dataset(z_path), _load_dataset(s_path))
     out = Path(cfg["out"])
-    metrics.save_report(out, report, matrices=cfg["matrices"])
+    out.write_text(metrics.report_to_json(report))
     record([z_path, s_path], [out])
     print(f"ots={report.ots:.6f} max_corr={report.max_corr:.6f}")
     return 0
@@ -339,25 +339,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nonlinear ICA toolkit: generate, mix, train, score.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, func, table, flags, help_ in (
-        ("generate", _cmd_generate, _GENERATE, _GENERATE, "synthesize independent sources"),
-        ("mix", _cmd_mix, _MIX, _MIX, "apply an invertible nonlinear mixing"),
-        ("unmix-exact", _cmd_unmix_exact, _UNMIX_EXACT, _UNMIX_EXACT,
-         "invert a saved mixing pipeline"),
-        ("train", _cmd_train, _TRAIN, _TRAIN, "fit the unmixing autoencoder"),
-        ("encode", _cmd_encode, _ENCODE, _ENCODE, "apply a trained encoder"),
-        ("score", _cmd_score, _SCORE, ("z", "sources", "out"),
-         "OTS and max_corr against true sources"),
-        ("wii", _cmd_wii, _WII, _WII, "weighted independence index of a dataset"),
-        ("bench", _cmd_bench, _BENCH, ("out_dir", "threads"),
-         "run a (dims x mixes x seeds) grid"),
-        ("plot-data", _cmd_plot_data, _PLOT_DATA, _PLOT_DATA,
-         "scatter and 50-bin marginals as CSV"),
+    for name, func, table, help_ in (
+        ("generate", _cmd_generate, _GENERATE, "synthesize independent sources"),
+        ("mix", _cmd_mix, _MIX, "apply an invertible nonlinear mixing"),
+        ("unmix-exact", _cmd_unmix_exact, _UNMIX_EXACT, "invert a saved mixing pipeline"),
+        ("train", _cmd_train, _TRAIN, "fit the unmixing autoencoder"),
+        ("encode", _cmd_encode, _ENCODE, "apply a trained encoder"),
+        ("score", _cmd_score, _SCORE, "OTS and max_corr against true sources"),
+        ("wii", _cmd_wii, _WII, "weighted independence index of a dataset"),
+        ("bench", _cmd_bench, _BENCH, "run a (dims x mixes x seeds) grid"),
+        ("plot-data", _cmd_plot_data, _PLOT_DATA, "scatter and 50-bin marginals as CSV"),
     ):
         p = subs.add_parser(name, help=help_)
         p.add_argument("--config", help="JSON file with defaults for this command")
-        for key in flags:
-            parse = table[key][0]
+        for key, (parse, _) in table.items():
             p.add_argument(
                 f"--{key.replace('_', '-')}", dest=key, choices=getattr(parse, "choices", None),
                 metavar=getattr(parse, "metavar", None),
@@ -366,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     score = subs.choices["score"]
     score.add_argument("z_pos", nargs="?", metavar="retrieved.csv")
     score.add_argument("sources_pos", nargs="?", metavar="sources.csv")
-    score.add_argument("--no-matrices", dest="matrices", action="store_false", default=None)
     return parser
 
 

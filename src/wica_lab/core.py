@@ -11,6 +11,7 @@ Conventions used across the package:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import zlib
@@ -307,10 +308,8 @@ def save_csv(path, x) -> None:
 
 def load_csv(path) -> np.ndarray:
     path = Path(path)
-    # bytes.splitlines ends lines at \r\n, \r or \n only, as a file opened
-    # with newline="" does; str.splitlines would also end them at \f or \v
-    lines = _read_text(path).encode().splitlines(keepends=True)
-    reader = _records(path, csv.reader(line.decode() for line in lines))
+    # lines end at \r\n, \r or \n only, as in a file opened with newline=""
+    reader = _records(path, csv.reader(io.StringIO(_read_text(path), newline="")))
     try:
         header = next(reader)
     except StopIteration:
@@ -417,12 +416,6 @@ def _float(value) -> float:
     except (ValueError, OverflowError):
         pass
     raise FileFormatError(f"expected a finite number, got {value!r}")
-
-
-def _bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise FileFormatError(f"expected true or false, got {value!r}")
 
 
 def _list_of(parse):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "ots",
     "score",
     "report_to_json",
-    "save_report",
 ]
 
 
@@ -239,18 +237,13 @@ def score(z, s) -> ScoreReport:
     )
 
 
-def report_to_json(report: ScoreReport, *, matrices: bool = True) -> str:
+def report_to_json(report: ScoreReport) -> str:
     doc = {
         "ots": report.ots,
         "max_corr": report.max_corr,
         "assignment_ots": list(report.assignment_ots),
         "assignment_max_corr": list(report.assignment_max_corr),
+        "spearman_matrix": report.spearman_matrix.tolist(),
+        "pearson_matrix": report.pearson_matrix.tolist(),
     }
-    if matrices:
-        doc["spearman_matrix"] = report.spearman_matrix.tolist()
-        doc["pearson_matrix"] = report.pearson_matrix.tolist()
     return json.dumps(doc, sort_keys=True) + "\n"
-
-
-def save_report(path, report: ScoreReport, *, matrices: bool = True) -> None:
-    Path(path).write_text(report_to_json(report, matrices=matrices))

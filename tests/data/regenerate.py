@@ -290,8 +290,7 @@ def unmix_reference(out: Path) -> None:
                "RngStream(1); best-of-3 OTS must reach the threshold and "
                "final wii must be <= 0.1x its value at initialization",
     ))
-    (out / "golden_score_report.json").write_text(
-        metrics.report_to_json(best_report, matrices=True))
+    (out / "golden_score_report.json").write_text(metrics.report_to_json(best_report))
 
 
 _CLI_COMMANDS = [

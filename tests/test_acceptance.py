@@ -268,7 +268,7 @@ def _train_run(x, s, seed: int, eval_seed: int) -> dict:
     model, _ = train(x, TrainConfig(beta=1.0, batch_size=256, steps=5000, seed=seed))
     z = encode(model, x)
     w_final = wii_index(z, rng=RngStream(eval_seed))
-    return {"report": report_to_json(score(z, s), matrices=True),
+    return {"report": report_to_json(score(z, s)),
             "w_init": w_init, "w_final": w_final}
 
 

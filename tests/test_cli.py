@@ -17,7 +17,7 @@ import pytest
 
 import wica_lab
 from wica_lab.cli import build_parser, main
-from wica_lab.core import load_csv, normalize_componentwise, save_csv
+from wica_lab.core import RngStream, load_csv, normalize_componentwise, save_csv
 from wica_lab.datagen import KINDS, resolve_params
 from wica_lab.errors import FileFormatError
 from wica_lab.mixer import load_pipeline
@@ -183,15 +183,6 @@ def test_score_flags_match_positionals(tmp_path, monkeypatch):
     assert (tmp_path / "r5.json").read_text() != expected
 
 
-def test_score_no_matrices_drops_matrix_fields(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    _generate("a.csv", n=64, seed=7)
-    assert main(["score", "a.csv", "a.csv", "--no-matrices", "--out", "r.json"]) == 0
-    report = json.loads((tmp_path / "r.json").read_text())
-    assert report["ots"] == 1.0
-    assert "pearson_matrix" not in report and "spearman_matrix" not in report
-
-
 def test_wii_command_reports_index(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     _generate(n=512, seed=4)
@@ -277,8 +268,9 @@ _MALFORMED = [
      {"hidden_sizes": "a,b"}, "model.json", "hidden_sizes: expected"),
     ("encode", "encode", ["--data", "data.csv", "--config", "cfg.json"], {"model": 3},
      "encoded.csv", "model: expected"),
-    ("score", "score", ["data.csv", "data.csv", "--config", "cfg.json"], {"matrices": "no"},
-     "report.json", "matrices: expected"),
+    # a score report always carries both matrices
+    ("score", "score", ["data.csv", "data.csv", "--config", "cfg.json"], {"matrices": True},
+     "report.json", "unknown key 'matrices'"),
     ("wii", "wii", ["--data", "data.csv", "--config", "cfg.json"], {"num_points": 1.5},
      "wii.json", "num_points: expected"),
     ("bench0", "bench", _GRID, {"train": {"stepz": 2}}, "grid/summary.csv",
@@ -326,6 +318,8 @@ _MALFORMED = [
      "mix_hidden: must be >= 1"),
     ("bench15", "bench", ["--out-dir", "grid", "--threads", "-1"], None, "grid/summary.csv",
      "threads: must be >= 1"),
+    ("bench16", "bench", ["--dims", "2,2", "--out-dir", "grid"], None, "grid/summary.csv",
+     "dims: repeats a value"),
     # a finite column whose mean and variance overflow float64
     ("wii-overflow", "wii", ["--data", _HUGE], None, "wii.json",
      "column 0: standard deviation overflows float64"),
@@ -392,6 +386,51 @@ def test_train_has_no_optimizer_or_rec_norm_flag(tmp_path, monkeypatch, capsys, 
         main(["train", "--data", "sources.csv", flag, value])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_score_has_no_no_matrices_flag(tmp_path, monkeypatch, capsys):
+    """A score report always carries both matrices, with no flag to drop them."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["score", "a.csv", "b.csv", "--no-matrices"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-matrices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_every_table_key_is_a_flag(command):
+    sub = _SUBCOMMANDS[command]
+    flags = {a.option_strings[0]: a.dest for a in sub._actions if a.option_strings}
+    for key in sub.get_default("table"):
+        assert flags.get(f"--{key.replace('_', '-')}") == key
+
+
+def _flag_value(value) -> str:
+    """A config value as the flag string its option's parser reads."""
+    if isinstance(value, list):
+        return ",".join(map(str, value))
+    return json.dumps(value) if isinstance(value, dict) else str(value)
+
+
+def test_bench_grid_from_flags_equals_grid_from_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = {
+        "dims": [2], "mixes": [1], "seeds": [0, 1], "n": 64, "source_kind": "sine_mixture",
+        "source_params": {"t_max": 50.0}, "source_seed": 2, "mix_seed": 3, "mix_hidden": 4,
+        "train": {"steps": 3, "batch_size": 16, "hidden_sizes": [4], "log_every": 1},
+        "threads": 2,
+    }
+    (tmp_path / "bench.json").write_text(json.dumps(config) + "\n")
+    assert main(["bench", "--config", "bench.json", "--out-dir", "file"]) == 0
+    flags = [arg for key, value in config.items()
+             for arg in (f"--{key.replace('_', '-')}", _flag_value(value))]
+    assert main(["bench", *flags, "--out-dir", "flag"]) == 0
+    for name in ("runs.csv", "summary.csv"):
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
+    by_file, by_flag = (_read_manifest(tmp_path / d / "summary.csv")["config"]
+                        for d in ("file", "flag"))
+    assert (by_file.pop("out_dir"), by_flag.pop("out_dir")) == ("file", "flag")
+    assert by_flag == by_file
 
 
 def test_flag_and_config_file_record_the_same_config_hash(tmp_path, monkeypatch):
@@ -498,6 +537,9 @@ _MALFORMED_FILES = [
      "x.csv: not UTF-8 text"),
     ("csv-field-limit", ["wii", "--data", "x.csv"], {"x.csv": "c0,c1\n" + "1" * 131073 + ",2\n"},
      "wii.json", "x.csv:2: field larger than field limit (131072)"),
+    # lines end at \r\n, \r or \n only: \f is whitespace inside a field
+    ("csv-line-ends", ["wii", "--data", "x.csv"], {"x.csv": "c0,c1\r\n1\x0c,2\r3,4\n5\n"},
+     "wii.json", "x.csv:4: expected 2 fields, got 1"),
     ("csv-rows", ["score", "a.csv", "b.csv"], {"a.csv": _csv(50), "b.csv": _csv(40)},
      "report.json", "shape mismatch"),
     ("pipeline-missing", _UNMIX, {}, "recovered.csv", "cannot read p.json"),
@@ -595,6 +637,110 @@ def test_malformed_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, files
     err = capsys.readouterr().err
     assert "error:" in err and message in err
     assert not (tmp_path / primary).exists()
+
+
+# ---------------------------------------------------------------------------
+# a seeded sweep of extreme option values
+
+
+# the training options other than seed, as small as a run can take
+_SWEEP_TRAIN = {"beta": 1.0, "batch_size": 16, "steps": 2, "learning_rate": 0.001,
+                "num_weighting_points": 2, "log_every": 1, "hidden_sizes": [4]}
+# a valid, tiny config per subcommand, holding every key of its table; {in}
+# is the directory of the inputs fixture
+_SWEEP_CONFIGS = {
+    "generate": {"kind": "sine_mixture", "d": 2, "n": 32, "seed": 0, "out": "out.csv",
+                 "params": {"t_max": 50.0, "omega_min": 1.0, "omega_max": 4.0, "min_sep": 0.3}},
+    "mix": {"data": "{in}/data.csv", "iterations": 1, "hidden": 4, "seed": 0, "out": "out.csv",
+            "pipeline_out": "out.json"},
+    "unmix-exact": {"data": "{in}/data.csv", "pipeline": "{in}/pipeline.json", "out": "out.csv"},
+    "train": {"data": "{in}/data.csv", **_SWEEP_TRAIN, "seed": 0, "model_out": "out.json",
+              "trace_out": "trace.csv"},
+    "encode": {"model": "{in}/model.json", "data": "{in}/data.csv", "out": "out.csv"},
+    "score": {"z": "{in}/data.csv", "sources": "{in}/data.csv", "out": "out.json"},
+    "wii": {"data": "{in}/data.csv", "num_points": 2, "seed": 0, "out": "out.json"},
+    "bench": {"dims": [2], "mixes": [1], "seeds": [0], "n": 32, "source_kind": "uniform",
+              "source_params": {}, "source_seed": 0, "mix_seed": 0, "mix_hidden": 4,
+              "train": _SWEEP_TRAIN, "out_dir": "grid", "threads": 1},
+    "plot-data": {"data": "{in}/data.csv", "out_dir": "plots", "cols": [0, 1]},
+}
+_BIG = [str(2 ** 63), "1" + "0" * 399]  # integers that _int reads and no size option takes
+# each extreme literal as (JSON text, flag string), the flag None for a value
+# no flag string spells
+_EXTREMES = [
+    ("1e309", "1e309"), ("-0.0", "-0.0"), ("NaN", "NaN"), ("Infinity", "Infinity"),
+    ('"nan"', "nan"), *((big, big) for big in _BIG), ("1" * 5000, "1" * 5000),
+    ("[]", None), ("{}", None), ("null", "null"), ("true", "true"), ('""', ""),
+    ("[[[0]], [[]]]", None), ('{"a": {"b": [{}]}}', None), (f'"{"x" * 200000}"', "x" * 200000),
+]
+# a large valid count is a long run, not a malformed input
+_WORK_COUNTS = {"steps", "iterations", "mixes"}
+
+
+def _option_paths(config: dict, prefix=()):
+    """The key path of every option of a config, nested objects' keys too."""
+    for key, value in config.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _option_paths(value, (*prefix, key))
+
+
+def _sweep_mutants(count: int):
+    """count (description, command, config text, flags) tuples: a sweep
+    config with one option set to an extreme literal or a list of them, in
+    the config or, for a top-level option, as its flag string."""
+    gen = RngStream(29).split("option-sweep").generator()
+    commands = sorted(_SWEEP_CONFIGS)
+    while count:
+        command = commands[gen.integers(len(commands))]
+        paths = list(_option_paths(_SWEEP_CONFIGS[command]))
+        path = paths[gen.integers(len(paths))]
+        picked = [_EXTREMES[k] for k in gen.integers(len(_EXTREMES), size=gen.integers(1, 4))]
+        if path[-1] in _WORK_COUNTS and any(text in _BIG for text, _ in picked):
+            continue
+        if len(picked) == 1:
+            text, flag = picked[0]
+        else:
+            text = "[" + ", ".join(t for t, _ in picked) + "]"
+            spelled = [f for _, f in picked]
+            flag = None if None in spelled else ",".join(spelled)
+        config = json.loads(json.dumps(_SWEEP_CONFIGS[command]))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        flags = []
+        if len(path) == 1 and flag is not None and gen.integers(2):
+            del parent[path[-1]]
+            flags = [f"--{path[-1].replace('_', '-')}", flag]
+        else:
+            parent[path[-1]] = "@mutant@"
+        where = f"{command} {'.'.join(path)}={text[:60]} {' '.join(flags)[:80]}"
+        yield where, command, json.dumps(config).replace('"@mutant@"', text), flags
+        count -= 1
+
+
+def test_extreme_option_values_exit_0_2_or_3(tmp_path, monkeypatch, capsys, inputs):
+    """No option value, however extreme, ends in a traceback: each run
+    exits 0, 2 or 3, and an exit 2 prints one error line."""
+    tables = {command: sub.get_default("table") for command, sub in _SUBCOMMANDS.items()}
+    assert {command: set(config) for command, config in _SWEEP_CONFIGS.items()} == \
+        {command: set(table) for command, table in tables.items()}
+    assert set(_SWEEP_TRAIN) == set(tables["bench"]["train"][1])
+    monkeypatch.chdir(tmp_path)
+    faults = []
+    for where, command, text, flags in _sweep_mutants(300):
+        (tmp_path / "cfg.json").write_text(text.replace("{in}", str(inputs)))
+        try:
+            code = main([command, "--config", "cfg.json", *flags])
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - any escape is the fault reported
+            faults.append(f"{where}: {exc!r:.200}")
+            continue
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        if code not in (0, 2, 3) or (code == 2 and len(errors) != 1):
+            faults.append(f"{where}: exit {code}, {len(errors)} error lines")
+    assert faults == []
 
 
 def test_unmix_exact_names_the_stage_whose_matrix_holds_nan(tmp_path, monkeypatch, capsys):

@@ -15,7 +15,6 @@ from wica_lab.metrics import (
     ScoreReport,
     ots,
     report_to_json,
-    save_report,
     score,
     solve_assignment,
     spearman_distance_matrix,
@@ -326,33 +325,20 @@ def test_report_bounds_always_hold():
         assert 0.0 <= rep.max_corr <= 1.0
 
 
-def test_report_json_round_trip(tmp_path):
+def test_report_json_round_trip():
     g = RngStream(56).split("json").generator()
     z = g.standard_normal((100, 3))
     s = g.standard_normal((100, 3))
     rep = score(z, s)
-    path = tmp_path / "report.json"
-    save_report(path, rep, matrices=True)
-    text = path.read_text()
+    text = report_to_json(rep)
     back = json.loads(text)
     assert back["ots"] == rep.ots
     assert back["max_corr"] == rep.max_corr
     assert tuple(back["assignment_ots"]) == rep.assignment_ots
     assert np.array_equal(np.array(back["spearman_matrix"]), rep.spearman_matrix)
+    assert np.array_equal(np.array(back["pearson_matrix"]), rep.pearson_matrix)
     # serialization itself is deterministic
-    assert json.dumps(back, sort_keys=True) + "\n" == text == report_to_json(rep, matrices=True)
-
-
-def test_report_without_matrices(tmp_path):
-    g = RngStream(57).split("nm").generator()
-    z = g.standard_normal((50, 2))
-    s = g.standard_normal((50, 2))
-    rep = score(z, s)
-    path = tmp_path / "lean.json"
-    save_report(path, rep, matrices=False)
-    back = json.loads(path.read_text())
-    assert back["ots"] == rep.ots
-    assert sorted(back) == ["assignment_max_corr", "assignment_ots", "max_corr", "ots"]
+    assert json.dumps(back, sort_keys=True) + "\n" == text
 
 
 def test_score_report_validates_permutations():
