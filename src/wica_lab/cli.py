@@ -6,16 +6,18 @@ input digests), and never touches a wall clock, so rerunning a command
 with the same flags reproduces its artifacts byte for byte.
 
 Each subcommand declares its options once, in a table of (parser,
-default) entries registered with it; the training options are
-TrainConfig's fields, typed by its own parsers.  Every key of a table is
-both a --flag and a --config key, and main resolves the table registered
-with each subcommand: every value, from a flag, a positional, a --config
-JSON file or bench's "train" object, is read by its option's parser.  A
-value a parser cannot read exactly or finds out of range, or a key the
-table does not declare, is a usage error.  main passes the command its
-parsed config and records the manifest under the command's name, so a
-flag and a config file that describe the same run record the same config
-and config hash.
+default) entries registered with it.  Each quantity has one parser,
+beside the code that consumes it, shared by every table and file loader:
+a seed (core), a source kind, data dimension and row count (datagen), a
+stage count and coupling width (mixer), and TrainConfig's fields.  Every
+key of a table is both a --flag and a --config key, and main resolves
+the table before the command reads any input: every value, from a flag,
+a positional, a --config JSON file or bench's "train" object, is read by
+its option's parser.  A value a parser cannot read exactly or finds out
+of range, or a key the table does not declare, is a usage error.  main
+passes the command its parsed config and records the manifest under the
+command's name, so a flag and a config file that describe the same run
+record the same config and config hash.
 
 Exit codes: 0 success; 2 a malformed option or input file (unreadable, not
 UTF-8, or not the CSV or JSON its reader expects) or a size numpy cannot
@@ -35,8 +37,8 @@ import numpy as np
 
 from . import datagen, metrics, mixer, trainer, wii
 from .core import (
-    RngStream, _at_least, _choice, _config_options, _distinct, _int, _list_of, _object,
-    _parse_options, _read_json_object, _size, _str, as_data, load_csv, normalize_componentwise, save_csv,
+    _SEED, RngStream, _at_least, _config_options, _distinct, _int, _list_of, _object,
+    _parse_options, _read_json_object, _str, as_data, load_csv, normalize_componentwise, save_csv,
 )
 from .errors import DimensionError, FileFormatError, NonFiniteError, WicaError
 
@@ -86,13 +88,15 @@ def _resolve(args: argparse.Namespace, table: dict) -> dict:
     return cfg
 
 
+_SPEC = datagen.SourceSpec._FIELDS
 _GENERATE = {
-    "kind": (_choice(*datagen.KINDS), "uniform"), "d": (_int, 2), "n": (_int, 1000),
-    "seed": (_int, 0), "params": (_object, {}), "out": (_str, "sources.csv"),
+    "kind": (datagen._KIND, "uniform"), "d": (_SPEC["d"], 2), "n": (_SPEC["n"], 1000),
+    "seed": (_SEED, 0), "params": (_object, {}), "out": (_str, "sources.csv"),
 }
 _MIX = {
-    "data": (_str, _REQUIRED), "iterations": (_int, 10), "hidden": (_size(_int), 16),
-    "seed": (_int, 0), "out": (_str, "mixed.csv"), "pipeline_out": (_str, "pipeline.json"),
+    "data": (_str, _REQUIRED), "iterations": (mixer._ITERATIONS, 10),
+    "hidden": (mixer._HIDDEN, 16), "seed": (_SEED, 0), "out": (_str, "mixed.csv"),
+    "pipeline_out": (_str, "pipeline.json"),
 }
 _UNMIX_EXACT = {
     "data": (_str, _REQUIRED), "pipeline": (_str, _REQUIRED), "out": (_str, "recovered.csv"),
@@ -107,7 +111,7 @@ _SCORE = {
     "z": (_str, _REQUIRED), "sources": (_str, _REQUIRED), "out": (_str, "report.json"),
 }
 _WII = {
-    "data": (_str, _REQUIRED), "num_points": (wii._NUM_POINTS, None), "seed": (_int, 0),
+    "data": (_str, _REQUIRED), "num_points": (wii._NUM_POINTS, None), "seed": (_SEED, 0),
     "out": (_str, "wii.json"),
 }
 _PLOT_DATA = {
@@ -115,17 +119,20 @@ _PLOT_DATA = {
 }
 # each grid cell trains with its own seed from "seeds"
 _BENCH_TRAIN = _config_options(trainer.TrainConfig, "seed")
+
+
+def _bench_train(value) -> dict:
+    return _parse_options(_BENCH_TRAIN, _object(value))
+
+
+_bench_train.metavar = _object.metavar
 _BENCH = {
-    "dims": (_distinct(_list_of(_size(_at_least(_int, 2)))), (2,)),
-    "mixes": (_distinct(_list_of(_at_least(_int, 1))), (10,)),
-    "seeds": (_distinct(_list_of(_at_least(_int, 0))), (0,)),
-    "n": (_size(_at_least(_int, 2)), 16384), "source_kind": (_choice(*datagen.KINDS), "sine_mixture"),
-    "source_params": (_object, {}), "source_seed": (_at_least(_int, 0), 0),
-    "mix_seed": (_at_least(_int, 0), 0), "mix_hidden": (_size(_at_least(_int, 1)), 16),
-    "train": (
-        lambda value: _parse_options(_BENCH_TRAIN, _object(value)),
-        _parse_options(_BENCH_TRAIN, {}),
-    ),
+    "dims": (_distinct(_list_of(_SPEC["d"])), (2,)),
+    "mixes": (_distinct(_list_of(mixer._ITERATIONS)), (10,)),
+    "seeds": (_distinct(_list_of(_SEED)), (0,)), "n": (_SPEC["n"], 16384),
+    "source_kind": (datagen._KIND, "sine_mixture"), "source_params": (_object, {}),
+    "source_seed": (_SEED, 0), "mix_seed": (_SEED, 0), "mix_hidden": (mixer._HIDDEN, 16),
+    "train": (_bench_train, _bench_train({})),
     "out_dir": (_str, "bench"), "threads": (_at_least(_int, 1), 1),
 }
 

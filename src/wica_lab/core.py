@@ -477,6 +477,11 @@ def _at_least(parse, low, *, strict: bool = False):
     return bounded
 
 
+# a seed as every option, config key and file reads it; RngStream keeps its
+# own check for library callers, which may pass numpy integers
+_SEED = _at_least(_int, 0)
+
+
 def _optional(parse):
     return lambda value: None if value is None else parse(value)
 
@@ -488,6 +493,7 @@ def _distinct(parse):
         if len(set(out)) < len(out):
             raise DimensionError(f"repeats a value: {list(out)}")
         return out
+    distinct.metavar = parse.metavar
     return distinct
 
 

@@ -23,8 +23,8 @@ from typing import Any, ClassVar
 import numpy as np
 
 from .core import (
-    RngStream, _at_least, _float, _int, _object, _parse_fields, _parse_options,
-    _size, _where, normalize_componentwise,
+    _SEED, RngStream, _at_least, _choice, _float, _int, _object, _parse, _parse_fields,
+    _parse_options, _size, _where, normalize_componentwise,
 )
 from .errors import DimensionError
 
@@ -39,8 +39,7 @@ def resolve_params(kind: str, params) -> dict:
     A key the kind does not take or a value of the wrong type is a
     FileFormatError; a degenerate or inverted range is a DimensionError.
     """
-    if kind not in KINDS:
-        raise DimensionError(f"kind must be one of {KINDS}, got {kind!r}")
+    _parse("kind", _KIND, kind)
     with _where(f"{kind} params"):
         p = _parse_options(_KINDS[kind][1], _object(params))
     for low, high in (("omega_min", "omega_max"), ("radius_min", "radius_max")):
@@ -53,7 +52,8 @@ def resolve_params(kind: str, params) -> dict:
 class SourceSpec:
     """What to generate; the same spec always yields the same sample.
 
-    d, n and seed are read by their parsers in _FIELDS, so a value of the
+    kind is read by _KIND and d, n and seed by their parsers in _FIELDS,
+    which the CLI and the model and pipeline loaders share, so a value of the
     wrong type is a FileFormatError and one out of range a DimensionError;
     params holds every param of the kind, resolved by resolve_params.
     """
@@ -65,8 +65,7 @@ class SourceSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     _FIELDS: ClassVar[dict] = {
-        "d": _size(_at_least(_int, 2)), "n": _size(_at_least(_int, 2)),
-        "seed": _at_least(_int, 0),
+        "d": _size(_at_least(_int, 2)), "n": _size(_at_least(_int, 2)), "seed": _SEED,
     }
 
     def __post_init__(self) -> None:
@@ -154,6 +153,7 @@ _KINDS = {
 }
 
 KINDS = tuple(_KINDS)
+_KIND = _choice(*KINDS)
 
 
 def generate(spec: SourceSpec) -> np.ndarray:

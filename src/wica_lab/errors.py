@@ -11,7 +11,6 @@ __all__ = [
     "DimensionError",
     "DegenerateColumnError",
     "WeightCollapseError",
-    "InsufficientDataError",
     "NonFiniteError",
     "NumericalError",
     "TrainingDivergedError",
@@ -53,10 +52,6 @@ class WeightCollapseError(WicaError):
             "weight mass beyond the top sample is "
             f"{effective_mass:.3e}; the weighted sample is a single point"
         )
-
-
-class InsufficientDataError(WicaError):
-    """Fewer samples than the operation needs (e.g. N < d)."""
 
 
 class NumericalError(WicaError):

@@ -18,9 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    RngStream, _array_from_json, _at_least, _int, _parse, _read_json_object, _require_fields,
-    _where, as_data, sample_haar_orthogonal,
+    _SEED, RngStream, _array_from_json, _at_least, _int, _parse, _read_json_object,
+    _require_fields, _size, _where, as_data, sample_haar_orthogonal,
 )
+from .datagen import SourceSpec
 from .errors import DimensionError, FileFormatError
 from .trainer import MlpParams, _mlp_forward, _mlp_from_json, _mlp_to_json, init_mlp
 
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 PARITIES = ("odd", "even")
+# a pipeline's stage count and its coupling nets' hidden width, as read from outside
+_ITERATIONS = _at_least(_int, 1)
+_HIDDEN = _size(_at_least(_int, 1))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -130,14 +134,10 @@ def build_pipeline(d: int, iterations: int, hidden: int, rng: RngStream) -> Mixi
 
     The result is a pure function of (d, iterations, hidden, stream
     identity): stages draw from named splits, so pipelines rebuilt from
-    the same root seed are bit-identical.
+    the same root seed are bit-identical.  A d below 2 is refused by the
+    first Haar draw, and fewer than one stage by MixingPipeline.
     """
-    if d < 2:
-        raise DimensionError(f"mixing needs d >= 2, got d={d}")
-    if iterations < 1:
-        raise DimensionError(f"iterations must be >= 1, got {iterations}")
-    if hidden < 1:
-        raise DimensionError(f"hidden width must be >= 1, got {hidden}")
+    hidden = _parse("hidden", _HIDDEN, hidden)
     stages = []
     for t in range(1, iterations + 1):
         branch = rng.split(f"stage-{t}")
@@ -215,5 +215,5 @@ def load_pipeline(path) -> MixingPipeline:
         with _where(where, FileFormatError):
             stages.append(MixingStage(q, phi, raw["parity"]))
     with _where(path, FileFormatError):
-        d = _parse("d", _at_least(_int, 2), doc["d"])
-        return MixingPipeline(tuple(stages), d, _parse("seed", _at_least(_int, 0), doc["seed"]))
+        d = _parse("d", SourceSpec._FIELDS["d"], doc["d"])
+        return MixingPipeline(tuple(stages), d, _parse("seed", _SEED, doc["seed"]))

@@ -49,17 +49,12 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .core import (
-    RngStream, _array_from_json, _at_least, _config_options, _float, _int, _list_of,
+    _SEED, RngStream, _array_from_json, _at_least, _config_options, _float, _int, _list_of,
     _normalize_parts, _parse, _parse_fields, _parse_options, _read_json_object, _require_fields,
     _size, _where, as_data, normalize_componentwise,
 )
-from .errors import (
-    DimensionError,
-    FileFormatError,
-    InsufficientDataError,
-    TrainingDivergedError,
-    WeightCollapseError,
-)
+from .datagen import SourceSpec
+from .errors import DimensionError, FileFormatError, TrainingDivergedError, WeightCollapseError
 from .wii import _NUM_POINTS, _as_points, _points_backward, _points_forward, sample_weighting_points
 
 __all__ = [
@@ -184,7 +179,7 @@ class TrainConfig:
     _FIELDS: ClassVar[dict] = {
         "beta": _at_least(_float, 0.0), "batch_size": _at_least(_int, 2),
         "steps": _at_least(_int, 0), "learning_rate": _at_least(_float, 0.0, strict=True),
-        "seed": _at_least(_int, 0), "num_weighting_points": _NUM_POINTS,
+        "seed": _SEED, "num_weighting_points": _NUM_POINTS,
         "log_every": _at_least(_int, 1), "hidden_sizes": _list_of(_size(_at_least(_int, 1))),
     }
 
@@ -466,9 +461,7 @@ def train(x, cfg: TrainConfig) -> tuple[AutoEncoderModel, TrainTrace]:
             "is the mean of d distinct rows of a batch"
         )
     if cfg.batch_size > n:
-        raise InsufficientDataError(
-            f"batch_size {cfg.batch_size} exceeds the {n} available rows"
-        )
+        raise DimensionError(f"batch_size {cfg.batch_size} exceeds the {n} available rows")
     # an overflowing std would diverge at step 1; n * range**2 bounds the sum
     # of squares, so only where it overflows does the full check run
     with np.errstate(over="ignore"):
@@ -551,7 +544,7 @@ def load_model(path) -> tuple[AutoEncoderModel, TrainConfig]:
     encoder = _mlp_from_json(doc["encoder"], f"{path}: encoder")
     decoder = _mlp_from_json(doc["decoder"], f"{path}: decoder")
     with _where(path, FileFormatError):
-        d = _parse("d", _at_least(_int, 2), doc["d"])
+        d = _parse("d", SourceSpec._FIELDS["d"], doc["d"])
         model = AutoEncoderModel(encoder, decoder)
     if model.d != d:
         raise FileFormatError(f"{path}: 'd' is {d} but nets have d={model.d}")

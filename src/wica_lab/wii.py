@@ -27,7 +27,7 @@ from .core import (
     RngStream, _at_least, _int, _optional, _parse, _size, _weighted_moments, as_data,
     normalize_componentwise,
 )
-from .errors import DimensionError, InsufficientDataError, WeightCollapseError
+from .errors import DimensionError, WeightCollapseError
 
 __all__ = [
     "wii_at_point",
@@ -169,9 +169,7 @@ def sample_weighting_points(y, num_points: int | None, rng: RngStream) -> np.nda
     n, d = y.shape
     num_points = _point_count(num_points, d)
     if n < d:
-        raise InsufficientDataError(
-            f"need at least d={d} rows to build a weighting point, got {n}"
-        )
+        raise DimensionError(f"need at least d={d} rows to build a weighting point, got {n}")
     gen = rng.generator()
     rows = np.empty((num_points, d), dtype=np.intp)
     for k in range(num_points):

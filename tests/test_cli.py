@@ -19,7 +19,7 @@ import wica_lab
 from wica_lab.cli import build_parser, main
 from wica_lab.core import RngStream, load_csv, normalize_componentwise, save_csv
 from wica_lab.datagen import KINDS, resolve_params
-from wica_lab.errors import FileFormatError
+from wica_lab.errors import DimensionError, FileFormatError
 from wica_lab.mixer import load_pipeline
 from wica_lab.trainer import load_model
 
@@ -261,7 +261,8 @@ _MALFORMED = [
      "d: expected"),
     ("generate1", "generate", ["--config", "cfg.json"], {"n": 64.5, "d": 2.9}, "sources.csv",
      "d: expected"),
-    ("mix", "mix", ["--data", "data.csv", "--seed", "-1"], None, "mixed.csv", "seed must be"),
+    ("mix", "mix", ["--data", "data.csv", "--seed", "-1"], None, "mixed.csv",
+     "seed: must be >= 0, got -1"),
     ("unmix-exact", "unmix-exact", ["--data", "data.csv", "--config", "cfg.json"],
      {"pipeline": 5}, "recovered.csv", "pipeline: expected"),
     ("train", "train", ["--data", "data.csv", "--steps", "1", "--config", "cfg.json"],
@@ -353,6 +354,66 @@ def test_malformed_option_exits_2(tmp_path, monkeypatch, capsys, command, argv, 
     assert not (tmp_path / primary).exists()
 
 
+# an out-of-range value for each ranged key of every table, as (command,
+# key, flag string, message tail); a key whose parser takes a list gets a
+# list with one bad entry
+_OUT_OF_RANGE = [
+    ("generate", "d", "1", "must be >= 2, got 1"),
+    ("generate", "n", "1", "must be >= 2, got 1"),
+    ("generate", "seed", "-1", "must be >= 0, got -1"),
+    ("mix", "iterations", "0", "must be >= 1, got 0"),
+    ("mix", "hidden", "0", "must be >= 1, got 0"),
+    ("mix", "seed", "-1", "must be >= 0, got -1"),
+    ("train", "beta", "-1", "must be >= 0.0, got -1.0"),
+    ("train", "batch_size", "1", "must be >= 2, got 1"),
+    ("train", "steps", "-1", "must be >= 0, got -1"),
+    ("train", "learning_rate", "0", "must be > 0.0, got 0.0"),
+    ("train", "seed", "-1", "must be >= 0, got -1"),
+    ("train", "num_weighting_points", "0", "must be >= 1, got 0"),
+    ("train", "log_every", "0", "must be >= 1, got 0"),
+    ("train", "hidden_sizes", "4,0", "must be >= 1, got 0"),
+    ("wii", "num_points", "0", "must be >= 1, got 0"),
+    ("wii", "seed", "-1", "must be >= 0, got -1"),
+    ("bench", "dims", "2,1", "must be >= 2, got 1"),
+    ("bench", "mixes", "0", "must be >= 1, got 0"),
+    ("bench", "seeds", "-1", "must be >= 0, got -1"),
+    ("bench", "n", "1", "must be >= 2, got 1"),
+    ("bench", "source_seed", "-1", "must be >= 0, got -1"),
+    ("bench", "mix_seed", "-1", "must be >= 0, got -1"),
+    ("bench", "mix_hidden", "0", "must be >= 1, got 0"),
+    ("bench", "threads", "0", "must be >= 1, got 0"),
+]
+
+
+def test_every_ranged_key_has_an_out_of_range_case():
+    """A key is ranged when its parser refuses -1 as out of range; a choice
+    is left out, since argparse refuses a flag outside it first."""
+    ranged = set()
+    for command, sub in _SUBCOMMANDS.items():
+        for key, (parse, _) in sub.get_default("table").items():
+            try:
+                parse("-1")
+            except DimensionError:
+                if not hasattr(parse, "choices"):
+                    ranged.add((command, key))
+            except FileFormatError:
+                pass
+    assert ranged == {case[:2] for case in _OUT_OF_RANGE}
+
+
+@pytest.mark.parametrize("command,key,value,tail", _OUT_OF_RANGE,
+                         ids=[f"{case[0]}-{case[1]}" for case in _OUT_OF_RANGE])
+def test_out_of_range_value_is_refused_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys, command, key, value, tail):
+    """The table is resolved before the command opens a file: with the
+    input missing, the error still names the key, not the file."""
+    monkeypatch.chdir(tmp_path)
+    inputs = ["--data", "missing.csv"] if command in ("mix", "train", "wii") else []
+    assert main([command, *inputs, f"--{key.replace('_', '-')}", value]) == 2
+    assert capsys.readouterr().err == f"error: {key}: {tail}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_batch_smaller_than_d_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main([
@@ -403,6 +464,20 @@ def test_every_table_key_is_a_flag(command):
     flags = {a.option_strings[0]: a.dest for a in sub._actions if a.option_strings}
     for key in sub.get_default("table"):
         assert flags.get(f"--{key.replace('_', '-')}") == key
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+def test_help_shows_how_to_spell_a_list_or_an_object(command):
+    """A list option's help reads N,N,... and an object option's JSON; the
+    type of the option's default tells which it is."""
+    sub = _SUBCOMMANDS[command]
+    text = sub.format_help()
+    for key, (_, default) in sub.get_default("table").items():
+        flag = f"--{key.replace('_', '-')}"
+        if isinstance(default, tuple):
+            assert f"{flag} N,N,..." in text
+        elif isinstance(default, dict):
+            assert f"{flag} JSON" in text
 
 
 def _flag_value(value) -> str:
@@ -620,6 +695,11 @@ _MALFORMED_FILES = [
     # a size above the largest array dimension numpy takes
     ("size-generate-n-above-intp", ["generate", "--n", str(10 ** 20)], {}, "sources.csv",
      "n: must be <= 9223372036854775807, got 100000000000000000000"),
+    # too few rows for the run: an input error, as a batch below d is
+    ("rows-train-batch", ["train", "--data", "x.csv", "--steps", "1", "--batch-size", "64"],
+     {"x.csv": _csv(32)}, "model.json", "batch_size 64 exceeds the 32 available rows"),
+    ("rows-wii-below-d", ["wii", "--data", "x.csv"], {"x.csv": "c0,c1,c2\n1,2,3\n4,6,5\n"},
+     "wii.json", "need at least d=3 rows to build a weighting point, got 2"),
 ]
 assert len({case[0] for case in _MALFORMED_FILES}) == len(_MALFORMED_FILES)
 
@@ -637,6 +717,55 @@ def test_malformed_input_file_exits_2(tmp_path, monkeypatch, capsys, argv, files
     err = capsys.readouterr().err
     assert "error:" in err and message in err
     assert not (tmp_path / primary).exists()
+
+
+# each quantity read from outside, with its bad value's message tail and
+# every surface that reads it: an option, a key of bench's grid, or a field
+# of a pipeline or model file; the files are written beside data.csv
+_MODEL_SEED = _GOOD_MODEL.replace('"hidden_sizes": []', '"hidden_sizes": [], "seed": -1')
+_SURFACE_FILES = {
+    "seed.json": _PIPELINE % "-1", "m-seed.json": _MODEL_SEED, "m-d.json": _MODEL % "1",
+    "d.json": _GOOD_PIPELINE.replace('"d": 2', '"d": 1'),
+    "kind.json": '{"kind": "x"}', "source-kind.json": '{"source_kind": "x"}',
+}
+_QUANTITIES = {
+    "seed": ("must be >= 0, got -1", [
+        ["generate", "--seed", "-1"], ["mix", "--data", "data.csv", "--seed", "-1"],
+        ["wii", "--data", "data.csv", "--seed", "-1"],
+        ["train", "--data", "data.csv", "--seed", "-1"], ["bench", "--seeds", "0,-1"],
+        ["bench", "--source-seed", "-1"], ["bench", "--mix-seed", "-1"],
+        ["unmix-exact", "--data", "data.csv", "--pipeline", "seed.json"],
+        ["encode", "--data", "data.csv", "--model", "m-seed.json"],
+    ]),
+    "dimension": ("must be >= 2, got 1", [
+        ["generate", "--d", "1"], ["bench", "--dims", "1"],
+        ["unmix-exact", "--data", "data.csv", "--pipeline", "d.json"],
+        ["encode", "--data", "data.csv", "--model", "m-d.json"],
+    ]),
+    "rows": ("must be >= 2, got 1", [["generate", "--n", "1"], ["bench", "--n", "1"]]),
+    "iterations": ("must be >= 1, got 0", [
+        ["mix", "--data", "data.csv", "--iterations", "0"], ["bench", "--mixes", "0"],
+    ]),
+    "hidden": ("must be >= 1, got 0", [
+        ["mix", "--data", "data.csv", "--hidden", "0"], ["bench", "--mix-hidden", "0"],
+    ]),
+    "kind": ("expected one of lattice, uniform, laplace, sine_mixture, fig1_dependent, got 'x'", [
+        ["generate", "--config", "kind.json"], ["bench", "--config", "source-kind.json"],
+    ]),
+}
+
+
+@pytest.mark.parametrize("quantity", list(_QUANTITIES))
+def test_every_surface_refuses_a_quantity_with_one_message(tmp_path, monkeypatch, capsys,
+                                                           quantity):
+    monkeypatch.chdir(tmp_path)
+    for name, text in {"data.csv": _csv(64), **_SURFACE_FILES}.items():
+        (tmp_path / name).write_text(text)
+    tail, surfaces = _QUANTITIES[quantity]
+    for argv in surfaces:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f": {tail}\n"), (argv, err)
 
 
 # ---------------------------------------------------------------------------

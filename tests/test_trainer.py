@@ -15,7 +15,6 @@ from wica_lab.core import RngStream, normalize_componentwise, sample_haar_orthog
 from wica_lab.errors import (
     DimensionError,
     FileFormatError,
-    InsufficientDataError,
     NonFiniteError,
     TrainingDivergedError,
     WeightCollapseError,
@@ -707,7 +706,7 @@ def test_train_rejects_batch_smaller_than_d():
 
 
 def test_train_rejects_oversized_batch():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DimensionError, match="batch_size 64 exceeds the 32 available rows"):
         train(_toy_data(5, n=32), TrainConfig(batch_size=64, steps=1))
 
 

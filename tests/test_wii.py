@@ -10,7 +10,6 @@ from wica_lab.core import RngStream, _weighted_moments, normalize_componentwise
 from wica_lab.errors import (
     DimensionError,
     FileFormatError,
-    InsufficientDataError,
     NonFiniteError,
     WeightCollapseError,
     WicaError,
@@ -248,7 +247,7 @@ def test_sample_weighting_points_equal_the_point_loop(d):
 
 
 def test_sample_weighting_points_needs_enough_rows():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(DimensionError, match="need at least d=3 rows .*, got 2"):
         sample_weighting_points(np.zeros((2, 3)), 1, RngStream(0))
 
 
