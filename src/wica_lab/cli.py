@@ -361,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON file with defaults for this command")
         for key, (parse, _) in table.items():
             p.add_argument(
-                f"--{key.replace('_', '-')}", dest=key, choices=getattr(parse, "choices", None),
-                metavar=getattr(parse, "metavar", None),
+                f"--{key.replace('_', '-')}", dest=key, metavar=getattr(parse, "metavar", None)
             )
         p.set_defaults(func=func, table=table)
     score = subs.choices["score"]

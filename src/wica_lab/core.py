@@ -99,9 +99,9 @@ def normalize_componentwise(x) -> np.ndarray:
 
 def _normalize_parts(x: np.ndarray):
     """Unchecked normalize_componentwise, plus the centred data, the column
-    std and the divisor it used."""
+    std (x.std's reductions, on the centred data) and the divisor it used."""
     centered = x - x.mean(axis=0)
-    sigma = x.std(axis=0)
+    sigma = np.sqrt(np.add.reduce(centered * centered, axis=0) / len(x))
     denom = np.where(sigma < _NORMALIZE_FLOOR, sigma + _NORMALIZE_FLOOR, sigma)
     return centered / denom, centered, sigma, denom
 
@@ -449,7 +449,7 @@ def _choice(*names: str):
             return value
         error = DimensionError if isinstance(value, str) else FileFormatError
         raise error(f"expected one of {', '.join(names)}, got {value!r}")
-    parse.choices = names
+    parse.metavar = "{" + ",".join(names) + "}"
     return parse
 
 

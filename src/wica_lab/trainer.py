@@ -24,12 +24,12 @@ normalization, so a retry after the points collapse redraws only the
 points.  wica_cost and cost_gradient set up their inputs through the same
 mlp_forward call, so their batch is checked where train's is.
 
-All parameters live in one vector, AutoEncoderModel.theta: encoder
-weights, encoder biases, decoder weights, decoder biases, each in layer
-order and row-major; every weight and bias is a view into it, and
-cost_gradient returns this layout.  The one feed-forward net, MlpParams
-with init_mlp, its forward pass and its JSON layout, is also the mixer's
-coupling net.
+All parameters live in one vector, AutoEncoderModel.theta, whose order
+only _layout knows: it cuts theta into the nets' weight and bias views,
+and cuts each gradient the same way from a fresh vector, into which the
+backward pass writes every layer's gradient; cost_gradient returns that
+vector.  The one feed-forward net, MlpParams with init_mlp, its forward
+pass and its JSON layout, is also the mixer's coupling net.
 
 Every forward pass is one layer loop over blocks of rows; _mlp_forward's
 docstring gives the block layout and why its bytes are those of one call.
@@ -124,6 +124,14 @@ class MlpParams:
         return self.sizes[-1]
 
 
+def _layout(nets, flat: np.ndarray) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Each net's weight and bias views into flat, in theta's order: net by
+    net, a net's weights then its biases, each in layer order and row-major."""
+    cut = iter(np.split(flat, np.cumsum([a.size for m in nets for a in m.weights + m.biases])[:-1]))
+    return [([next(cut).reshape(w.shape) for w in m.weights],
+             [next(cut).reshape(b.shape) for b in m.biases]) for m in nets]
+
+
 @dataclass(eq=False)
 class AutoEncoderModel:
     """Encoder and decoder over views into a fresh copy of their
@@ -140,17 +148,13 @@ class AutoEncoderModel:
                 "encoder and decoder must both map d -> d with the same d >= 2; got "
                 f"encoder {self.encoder.sizes}, decoder {self.decoder.sizes}"
             )
-        parts = [a for m in (self.encoder, self.decoder) for a in m.weights + m.biases]
-        self.theta = np.concatenate([a.reshape(-1) for a in parts])
-        views = iter(np.split(self.theta, np.cumsum([a.size for a in parts])[:-1]))
-        self.encoder, self.decoder = (
-            replace(
-                m,
-                weights=[next(views).reshape(w.shape) for w in m.weights],
-                biases=[next(views).reshape(b.shape) for b in m.biases],
-            )
-            for m in (self.encoder, self.decoder)
-        )
+        nets, built = (self.encoder, self.decoder), []
+        self.theta = np.empty(sum(a.size for m in nets for a in m.weights + m.biases))
+        for m, (weights, biases) in zip(nets, _layout(nets, self.theta)):
+            for view, a in zip(weights + biases, m.weights + m.biases):
+                view[...] = a
+            built.append(replace(m, weights=weights, biases=biases))
+        self.encoder, self.decoder = built
 
     @property
     def d(self) -> int:
@@ -328,22 +332,16 @@ def mlp_forward(m: MlpParams, x, *, return_activations: bool = False):
 
 
 def _mlp_backward(
-    m: MlpParams, acts: list[np.ndarray], d_out: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Gradients of all layers plus the gradient w.r.t. the input."""
-    grad_w: list[np.ndarray] = [np.empty(0)] * len(m.weights)
-    grad_b: list[np.ndarray] = [np.empty(0)] * len(m.weights)
-    last = len(m.weights) - 1
-    d_a = d_out
-    for l in range(last, -1, -1):
-        if l < last:
-            d_pre = d_a * (1.0 - acts[l + 1] ** 2)
-        else:
-            d_pre = d_a
-        grad_w[l] = acts[l].T @ d_pre
-        grad_b[l] = d_pre.sum(axis=0)
-        d_a = d_pre @ m.weights[l].T
-    return grad_w, grad_b, d_a
+    m: MlpParams, acts: list[np.ndarray], d_pre: np.ndarray, grad_w: list, grad_b: list
+) -> np.ndarray:
+    """From d_pre at the (linear) output, write each layer's weight and bias
+    gradients into grad_w and grad_b; return d_pre at the first layer."""
+    for l in range(len(m.weights) - 1, -1, -1):
+        np.matmul(acts[l].T, d_pre, out=grad_w[l])
+        d_pre.sum(axis=0, out=grad_b[l])
+        if l:
+            d_pre = (d_pre @ m.weights[l].T) * (1.0 - acts[l] ** 2)
+    return d_pre
 
 
 def encode(model: AutoEncoderModel, x) -> np.ndarray:
@@ -378,9 +376,11 @@ def _cost_forward_backward(
     if not need_grad:
         return total, rec, wii_value, None
 
+    grad = np.empty(model.theta.size)
+    (enc_gw, enc_gb), (dec_gw, dec_gb) = _layout((model.encoder, model.decoder), grad)
     # reconstruction path
-    d_recon = 2.0 * resid / n
-    dec_gw, dec_gb, d_enc_out = _mlp_backward(model.decoder, dec_acts, d_recon)
+    d_pre = _mlp_backward(model.decoder, dec_acts, 2.0 * resid / n, dec_gw, dec_gb)
+    d_enc_out = d_pre @ model.decoder.weights[0].T
 
     # independence path: dY summed over the surviving points, then pulled
     # back through the normalization
@@ -392,8 +392,7 @@ def _cost_forward_backward(
         live = sigma > 0.0
         slope = np.where(live, g_dot_u / (n * np.where(live, sigma, 1.0) * denom ** 2), 0.0)
         d_enc_out = d_enc_out + d_enc_norm - u * slope
-    enc_gw, enc_gb, _ = _mlp_backward(model.encoder, enc_acts, d_enc_out)
-    grad = np.concatenate([g.reshape(-1) for g in enc_gw + enc_gb + dec_gw + dec_gb])
+    _mlp_backward(model.encoder, enc_acts, d_enc_out, enc_gw, enc_gb)
     return total, rec, wii_value, grad
 
 

@@ -7,7 +7,9 @@ finite differences instead of the hand-written backward pass, grid
 quadrature beside the closed-form concentration value it checks.  None of it
 shares code with the modules under test beyond the model's parameter
 layout and the package's JSON file reader, except the earlier Spearman
-path, kept as a composition of the public ranks and Pearson functions;
+path, kept as a composition of the public ranks and Pearson functions,
+and the earlier gradient, whose per-layer lists are concatenated in
+theta's order around the trainer's forward pass and the index kernel;
 none of it is built for speed.  It is test-only and is not part of the
 installed package.
 """
@@ -26,7 +28,8 @@ import numpy as np
 
 from wica_lab.core import _read_json_object, average_ranks, pearson_corr_matrix
 from wica_lab.errors import DimensionError, FileFormatError, NumericalError
-from wica_lab.trainer import AutoEncoderModel
+from wica_lab.trainer import AutoEncoderModel, _cost_inputs, _mlp_forward
+from wica_lab.wii import _points_backward, _points_forward
 
 __all__ = [
     "loop_weighted_mean",
@@ -44,6 +47,8 @@ __all__ = [
     "model_param_vector",
     "with_param_vector",
     "fd_model_gradient",
+    "list_mlp_backward",
+    "concatenated_cost_gradient",
     "concentration",
     "quadrature_P",
     "ks_statistic",
@@ -451,6 +456,53 @@ def fd_model_gradient(
 ) -> np.ndarray:
     theta = model_param_vector(model)
     return fd_gradient(lambda t: cost_of_model(with_param_vector(model, t)), theta, h)
+
+
+# ---------------------------------------------------------------------------
+# the backward pass as per-layer lists: the package's earlier path, kept as
+# the reference for the gradient written into views of one vector
+
+
+def list_mlp_backward(m, acts: list, d_out: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """Every layer's weight and bias gradients as fresh arrays in two lists,
+    plus the gradient w.r.t. the input: the backward pass the trainer's
+    in-place one replaced, with the same operations in the same order."""
+    grad_w: list[np.ndarray] = [np.empty(0)] * len(m.weights)
+    grad_b: list[np.ndarray] = [np.empty(0)] * len(m.weights)
+    last = len(m.weights) - 1
+    d_a = d_out
+    for l in range(last, -1, -1):
+        if l < last:
+            d_pre = d_a * (1.0 - acts[l + 1] ** 2)
+        else:
+            d_pre = d_a
+        grad_w[l] = acts[l].T @ d_pre
+        grad_b[l] = d_pre.sum(axis=0)
+        d_a = d_pre @ m.weights[l].T
+    return grad_w, grad_b, d_a
+
+
+def concatenated_cost_gradient(model: AutoEncoderModel, x, points, cfg) -> np.ndarray:
+    """cost_gradient as list_mlp_backward's pieces concatenated in theta's
+    order (encoder weights, encoder biases, decoder weights, decoder
+    biases), each operand computed as cost_gradient computes it."""
+    enc_acts, (y, u, sigma, denom), points = _cost_inputs(model, x, points)
+    x = enc_acts[0]
+    n = x.shape[0]
+    values, cache = _points_forward(y, points)
+    dec_acts: list[np.ndarray] = []
+    resid = _mlp_forward(model.decoder, enc_acts[-1], dec_acts) - x
+    dec_gw, dec_gb, d_enc_out = list_mlp_backward(model.decoder, dec_acts, 2.0 * resid / n)
+    if cfg.beta != 0.0:
+        d_y = _points_backward(y, cache, cfg.beta / len(values))
+        g_mean = d_y.mean(axis=0)
+        g_dot_u = np.einsum("ij,ij->j", d_y, u)
+        d_enc_norm = (d_y - g_mean) / denom
+        live = sigma > 0.0
+        slope = np.where(live, g_dot_u / (n * np.where(live, sigma, 1.0) * denom ** 2), 0.0)
+        d_enc_out = d_enc_out + d_enc_norm - u * slope
+    enc_gw, enc_gb, _ = list_mlp_backward(model.encoder, enc_acts, d_enc_out)
+    return np.concatenate([g.reshape(-1) for g in enc_gw + enc_gb + dec_gw + dec_gb])
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,11 @@ _MALFORMED = [
      "threads: must be >= 1"),
     ("bench16", "bench", ["--dims", "2,2", "--out-dir", "grid"], None, "grid/summary.csv",
      "dims: repeats a value"),
+    # a source kind is read by its parser, not by argparse, so the flag's
+    # message is the config key's
+    ("generate8", "generate", ["--kind", "x"], None, "sources.csv", "kind: expected one of"),
+    ("bench17", "bench", ["--source-kind", "x", "--out-dir", "grid"], None, "grid/summary.csv",
+     "source_kind: expected one of"),
     # a finite column whose mean and variance overflow float64
     ("wii-overflow", "wii", ["--data", _HUGE], None, "wii.json",
      "column 0: standard deviation overflows float64"),
@@ -386,15 +391,16 @@ _OUT_OF_RANGE = [
 
 
 def test_every_ranged_key_has_an_out_of_range_case():
-    """A key is ranged when its parser refuses -1 as out of range; a choice
-    is left out, since argparse refuses a flag outside it first."""
+    """A key is ranged when its parser refuses -1 as out of range; a choice,
+    whose metavar lists its names in braces, is left out: it has no range,
+    and _QUANTITIES checks its message."""
     ranged = set()
     for command, sub in _SUBCOMMANDS.items():
         for key, (parse, _) in sub.get_default("table").items():
             try:
                 parse("-1")
             except DimensionError:
-                if not hasattr(parse, "choices"):
+                if not getattr(parse, "metavar", "").startswith("{"):
                     ranged.add((command, key))
             except FileFormatError:
                 pass
@@ -464,6 +470,12 @@ def test_every_table_key_is_a_flag(command):
     flags = {a.option_strings[0]: a.dest for a in sub._actions if a.option_strings}
     for key in sub.get_default("table"):
         assert flags.get(f"--{key.replace('_', '-')}") == key
+
+
+@pytest.mark.parametrize("command,flag", [("generate", "--kind"), ("bench", "--source-kind")])
+def test_help_names_every_source_kind(command, flag):
+    text = _SUBCOMMANDS[command].format_help()
+    assert f"{flag} {{{','.join(KINDS)}}}" in text
 
 
 @pytest.mark.parametrize("command", list(_SUBCOMMANDS))
@@ -751,6 +763,7 @@ _QUANTITIES = {
     ]),
     "kind": ("expected one of lattice, uniform, laplace, sine_mixture, fig1_dependent, got 'x'", [
         ["generate", "--config", "kind.json"], ["bench", "--config", "source-kind.json"],
+        ["generate", "--kind", "x"], ["bench", "--source-kind", "x"],
     ]),
 }
 

@@ -136,6 +136,32 @@ def test_normalize_rejects_a_column_whose_std_overflows():
             normalize_componentwise(x)
 
 
+_HUGE_COLUMN = np.where(np.arange(64) % 2, -1e308, 1e308)
+
+
+@pytest.mark.parametrize("case", ["random", "flat", "two-rows", "negative-zero", "overflow"])
+def test_normalize_parts_equal_numpy_centring_and_std_bit_for_bit(case):
+    """sigma is taken from the centred data by the reductions x.std runs,
+    so the centred data and sigma are numpy's own bytes."""
+    g = RngStream(6).split(case).generator()
+    x = {
+        "random": g.standard_normal((517, 4)) * np.array([3.0, 1e-3, 1e5, 1.0]) + 7.0,
+        "flat": np.column_stack([np.full(33, 0.1), g.standard_normal(33)]),
+        "two-rows": g.standard_normal((2, 3)),
+        "negative-zero": np.array([[-0.0, 1.0], [-0.0, -0.0], [0.0, 2.5]]),
+        "overflow": np.column_stack([_HUGE_COLUMN, np.arange(64.0)]),
+    }[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, centered, sigma, _ = core._normalize_parts(x)
+        want_centered, want_sigma = x - x.mean(axis=0), x.std(axis=0)
+    assert centered.tobytes() == want_centered.tobytes()
+    assert sigma.tobytes() == want_sigma.tobytes()
+    if case == "overflow":
+        assert np.isinf(sigma[0])
+        with pytest.raises(NonFiniteError, match="column 0: standard deviation overflows"):
+            normalize_componentwise(x)
+
+
 def test_normalize_affine_invariance():
     g = RngStream(5).split("aff").generator()
     x = g.standard_normal((200, 2))

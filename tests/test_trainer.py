@@ -39,6 +39,7 @@ from wica_lab.trainer import (
 from wica_lab.wii import sample_weighting_points, wii_multi
 
 from oracles import (
+    concatenated_cost_gradient,
     fd_model_gradient,
     loop_weighted_cov,
     model_param_vector,
@@ -362,6 +363,52 @@ def test_gradient_matches_finite_differences():
         fd = fd_model_gradient(total_of, model, 1e-5)
         rel = np.abs(fd - analytic) / np.maximum(np.abs(fd) + np.abs(analytic), 1e-6)
         assert rel.max() <= 1e-4, f"seed {seed}: max rel err {rel.max():.3e}"
+
+
+@pytest.mark.parametrize("hidden", [(128, 128, 128), (8, 5), (8,)], ids=str)
+@pytest.mark.parametrize("d", [2, 16])
+def test_gradient_equals_the_concatenated_layer_gradients_bit_for_bit(d, hidden):
+    """The backward pass writes each layer's gradient into its view of one
+    vector; the bytes are those of per-layer arrays concatenated in theta's
+    order, at beta 0 and 1."""
+    model = init_model(d, hidden, RngStream(d).split("init"))
+    x = RngStream(d).split("x").generator().standard_normal((256, d))
+    points = sample_weighting_points(normalize_componentwise(encode(model, x)), d, RngStream(3))
+    for beta in (0.0, 1.0):
+        cfg = TrainConfig(beta=beta)
+        want = concatenated_cost_gradient(model, x, points, cfg)
+        assert cost_gradient(model, x, points, cfg).tobytes() == want.tobytes()
+
+
+def test_each_gradient_is_a_fresh_vector():
+    model = init_model(3, (8, 5), RngStream(4).split("init"))
+    x = RngStream(4).split("x").generator().standard_normal((64, 3))
+    points = np.zeros((2, 3))
+    g1 = cost_gradient(model, x, points, TrainConfig())
+    g2 = cost_gradient(model, x, points, TrainConfig())
+    assert g1.tobytes() == g2.tobytes()
+    assert not np.shares_memory(g1, g2)
+    assert not (np.shares_memory(g1, model.theta) or np.shares_memory(g2, model.theta))
+
+
+def test_layout_cuts_the_views_the_model_exposes():
+    """_layout, the one place theta's order is written, cuts from theta the
+    very arrays the model holds: same shapes, same memory, same offsets."""
+    model = init_model(2, (6, 5), RngStream(5).split("init"))
+    nets = (model.encoder, model.decoder)
+    views = trainer._layout(nets, model.theta)
+    cut = [v for weights, biases in views for v in weights + biases]
+    held = [a for m in nets for a in m.weights + m.biases]
+    assert len(cut) == len(held) == 12
+    for v, a in zip(cut, held):
+        assert v.shape == a.shape and v.strides == a.strides
+        assert np.shares_memory(v, model.theta)
+        assert v.__array_interface__["data"][0] == a.__array_interface__["data"][0]
+    # the views tile theta in order, end to end
+    base = model.theta.__array_interface__["data"][0]
+    offsets = [v.__array_interface__["data"][0] - base for v in cut]
+    assert offsets == list(np.cumsum([0] + [v.nbytes for v in cut[:-1]]))
+    assert offsets[-1] + cut[-1].nbytes == model.theta.nbytes
 
 
 def test_independence_term_gradient_vanishes_on_symmetric_code():
