@@ -61,10 +61,12 @@ def _spearman_matrix(z: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def _centred_ranks(x: np.ndarray) -> np.ndarray:
     """Row j the ranks of x[:, j], centred in place; a constant column, whose
-    ranks are all equal, raises DegenerateColumnError(j)."""
-    ranks = np.empty(x.shape[::-1])
-    for row, column in zip(ranks, x.T):
-        row[:] = average_ranks(column)
+    ranks are all equal, raises DegenerateColumnError(j).  x is copied once,
+    transposed, so that each column is ranked as a contiguous row, which
+    its ranks then replace."""
+    ranks = np.array(x.T, order="C")
+    for row in ranks:
+        row[:] = average_ranks(row)
     for j in np.flatnonzero(ranks.max(axis=1) == ranks.min(axis=1)):
         raise DegenerateColumnError(int(j))
     return _centre_rows(ranks)

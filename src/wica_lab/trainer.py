@@ -25,11 +25,16 @@ points.  wica_cost and cost_gradient set up their inputs through the same
 mlp_forward call, so their batch is checked where train's is.
 
 All parameters live in one vector, AutoEncoderModel.theta, whose order
-only _layout knows: it cuts theta into the nets' weight and bias views,
-and cuts each gradient the same way from a fresh vector, into which the
-backward pass writes every layer's gradient; cost_gradient returns that
-vector.  The one feed-forward net, MlpParams with init_mlp, its forward
-pass and its JSON layout, is also the mixer's coupling net.
+only _layout knows: it cuts theta into the nets' weight and bias views by
+running slice offsets, and cuts each gradient the same way from a fresh
+vector, into which the backward pass writes every layer's gradient;
+cost_gradient returns that vector.  The backward pass spends what it
+reads: each hidden activation becomes tanh' in place once its layer's
+weight gradient is taken, the reconstruction becomes the residual, and
+each product of the pass is scaled in place, so a step allocates the
+arrays of its arithmetic and few copies besides.  The batch and the code
+are never written.  The one feed-forward net, MlpParams with init_mlp,
+its forward pass and its JSON layout, is also the mixer's coupling net.
 
 Every forward pass is one layer loop over blocks of rows; _mlp_forward's
 docstring gives the block layout and why its bytes are those of one call.
@@ -43,6 +48,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict, dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import ClassVar, NamedTuple
 
@@ -127,7 +133,8 @@ class MlpParams:
 def _layout(nets, flat: np.ndarray) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
     """Each net's weight and bias views into flat, in theta's order: net by
     net, a net's weights then its biases, each in layer order and row-major."""
-    cut = iter(np.split(flat, np.cumsum([a.size for m in nets for a in m.weights + m.biases])[:-1]))
+    sizes = [a.size for m in nets for a in m.weights + m.biases]
+    cut = (flat[stop - size:stop] for size, stop in zip(sizes, accumulate(sizes)))
     return [([next(cut).reshape(w.shape) for w in m.weights],
              [next(cut).reshape(b.shape) for b in m.biases]) for m in nets]
 
@@ -244,12 +251,17 @@ def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.nd
     all rows run as one block, each layer into a fresh array.  Without
     one, a block has _BLOCK_ELEMENTS // max(m.sizes) rows (4096 at width
     128; one block if the width exceeds _BLOCK_ELEMENTS), the remainder
-    joining the last, and each hidden layer writes the view buf[:r, :width]
-    of a 2-D buffer: the first layer of the block buffer; the middle layers,
-    in sub-blocks of rows // 8 rows (512 at width 128, 4096 for the mixer's
+    joining the last, and each hidden layer writes a contiguous r x width
+    view of a flat buffer, so its bias add and tanh need no iterator
+    buffers: the first layer of the block buffer; the middle layers, in
+    sub-blocks of rows // 8 rows (512 at width 128, 4096 for the mixer's
     width-16 nets), of a pair of sub-block buffers, the last of them back
-    into the block-buffer rows it has just read.  Either way the output
-    layer writes into one (n, out_size) array.
+    into the block buffer.  The first layer's rows end where the last
+    middle layer's will, at r * max(first width, last width), so each
+    sub-block writes over block-buffer rows that it or an earlier one has
+    read and none that a later one reads; at equal widths both are the
+    buffer's first r rows.  Either way the output layer writes into one
+    (n, out_size) array.
 
     Rows of a gemm do not depend on each other, so the bytes are those of
     one call, as long as every call runs the same BLAS kernel: OpenBLAS
@@ -275,12 +287,16 @@ def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.nd
         blocks = _edges(n, rows)
         # the largest sub-block ends a first-sized or the last block
         most = max(r - _edges(r, sub)[-2] for r in (blocks[1], n - blocks[-2]))
-        block = np.empty((n - blocks[-2], max(hidden[:1] + hidden[-1:], default=0)))
-        pair = np.empty((2, most, max(hidden[1:-1], default=0)))
+        block = np.empty((n - blocks[-2]) * max(hidden[:1] + hidden[-1:], default=0))
+        pair = np.empty((2, most * max(hidden[1:-1], default=0)))
 
-    def rows_of(buf, r: int, width: int) -> np.ndarray:
-        # a layer's output: fresh when collecting, else r x width of buf
-        return np.empty((r, width)) if buf is None else buf[:r, :width]
+    def rows_of(buf, r: int, width: int, end: int = 0) -> np.ndarray:
+        # a layer's output: fresh when collecting, else r x width contiguous
+        # elements of the flat buffer buf that end at end (default r * width)
+        if buf is None:
+            return np.empty((r, width))
+        end = end or r * width
+        return buf[end - r * width:end].reshape(r, width)
 
     def layer(l: int, a: np.ndarray, dest: np.ndarray) -> np.ndarray:
         # in place, so that a layer writes one array of its output's size
@@ -296,7 +312,8 @@ def _mlp_forward(m: MlpParams, x: np.ndarray, acts: list | None = None) -> np.nd
         r = stop - start
         a = x[start:stop]
         if last:
-            a = layer(0, a, rows_of(block, r, hidden[0]))
+            # ending where the last middle layer's rows will (see above)
+            a = layer(0, a, rows_of(block, r, hidden[0], r * max(hidden[0], hidden[-1])))
         if last > 1:
             back = rows_of(block, r, hidden[-1])
             subs = _edges(r, sub)
@@ -335,12 +352,22 @@ def _mlp_backward(
     m: MlpParams, acts: list[np.ndarray], d_pre: np.ndarray, grad_w: list, grad_b: list
 ) -> np.ndarray:
     """From d_pre at the (linear) output, write each layer's weight and bias
-    gradients into grad_w and grad_b; return d_pre at the first layer."""
+    gradients into grad_w and grad_b; return d_pre at the first layer.
+
+    The hidden activations are spent as they are read: once layer l's
+    weight gradient has read acts[l] (0 < l < L), acts[l] is overwritten
+    with tanh' = 1 - a^2, which nothing reads after.  acts[0], the input,
+    and acts[-1], the output, are never written.  d_pre at the output is
+    not written either; every later d_pre is a fresh product."""
     for l in range(len(m.weights) - 1, -1, -1):
-        np.matmul(acts[l].T, d_pre, out=grad_w[l])
-        d_pre.sum(axis=0, out=grad_b[l])
+        a = acts[l]
+        np.matmul(a.T, d_pre, out=grad_w[l])
+        np.add.reduce(d_pre, axis=0, out=grad_b[l])
         if l:
-            d_pre = (d_pre @ m.weights[l].T) * (1.0 - acts[l] ** 2)
+            d_pre = np.matmul(d_pre, m.weights[l].T)
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            d_pre *= a
     return d_pre
 
 
@@ -369,8 +396,9 @@ def _cost_forward_backward(
     wii_value = float(np.add.reduce(values) / len(values))
     dec_acts: list[np.ndarray] = []
     recon = _mlp_forward(model.decoder, enc_acts[-1], dec_acts)
-    resid = recon - x
-    rec = float((resid ** 2).sum())
+    # the reconstruction becomes the residual, then d_pre at the output
+    resid = np.subtract(recon, x, out=recon)
+    rec = float(np.add.reduce(np.square(resid), axis=None))
     rec /= n
     total = rec + cfg.beta * wii_value
     if not need_grad:
@@ -379,19 +407,24 @@ def _cost_forward_backward(
     grad = np.empty(model.theta.size)
     (enc_gw, enc_gb), (dec_gw, dec_gb) = _layout((model.encoder, model.decoder), grad)
     # reconstruction path
-    d_pre = _mlp_backward(model.decoder, dec_acts, 2.0 * resid / n, dec_gw, dec_gb)
+    resid *= 2.0
+    resid /= n
+    d_pre = _mlp_backward(model.decoder, dec_acts, resid, dec_gw, dec_gb)
     d_enc_out = d_pre @ model.decoder.weights[0].T
 
     # independence path: dY summed over the surviving points, then pulled
     # back through the normalization
     if cfg.beta != 0.0:
         d_y = _points_backward(y, cache, cfg.beta / len(values))
-        g_mean = d_y.mean(axis=0)
         g_dot_u = np.einsum("ij,ij->j", d_y, u)
-        d_enc_norm = (d_y - g_mean) / denom
+        # d_y's mean, as d_y.mean(axis=0) computes it, then d_y becomes
+        # the gradient through the centring and the division
+        d_y -= np.add.reduce(d_y, axis=0) / n
+        d_y /= denom
         live = sigma > 0.0
         slope = np.where(live, g_dot_u / (n * np.where(live, sigma, 1.0) * denom ** 2), 0.0)
-        d_enc_out = d_enc_out + d_enc_norm - u * slope
+        d_enc_out += d_y
+        d_enc_out -= u * slope
     _mlp_backward(model.encoder, enc_acts, d_enc_out, enc_gw, enc_gb)
     return total, rec, wii_value, grad
 

@@ -1,9 +1,12 @@
 """Autoencoder cost, hand-written gradient, and the training loop."""
 
+import ctypes
+import glob
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -411,6 +414,24 @@ def test_layout_cuts_the_views_the_model_exposes():
     assert offsets[-1] + cut[-1].nbytes == model.theta.nbytes
 
 
+@pytest.mark.parametrize("hidden", [(128, 128, 128), (8, 5)], ids=str)
+def test_backward_pass_spends_only_the_hidden_activations(hidden):
+    """The gradient leaves the batch, the caller's array and the code (the
+    encoder's last activation, the decoder's input) as they were, and
+    turns each hidden activation a of the encoder into tanh' = 1 - a^2."""
+    model = init_model(3, hidden, RngStream(31).split("init"))
+    x = RngStream(31).split("x").generator().standard_normal((256, 3))
+    kept = x.tobytes()
+    enc_acts, norm, points = trainer._cost_inputs(model, x, np.zeros((2, 3)))
+    before = [a.copy() for a in enc_acts]
+    trainer._cost_forward_backward(model, enc_acts, norm, points, TrainConfig(), need_grad=True)
+    assert x.tobytes() == kept
+    assert enc_acts[0].tobytes() == before[0].tobytes()
+    assert enc_acts[-1].tobytes() == before[-1].tobytes()
+    for a, b in zip(enc_acts[1:-1], before[1:-1]):
+        assert a.tobytes() == (1.0 - b ** 2).tobytes()
+
+
 def test_independence_term_gradient_vanishes_on_symmetric_code():
     """With the code exactly sign-symmetric around the weighting point at
     the origin, every weighted cross-covariance cancels in sign pairs, so
@@ -468,6 +489,72 @@ def test_forward_pass_holds_at_most_two_layer_outputs(forward):
     assert peak < 1.5 * (4096 * 128 * 8)
 
 
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS,
+    through ctypes; None where the library or either symbol is missing."""
+    libs = glob.glob(
+        os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    )
+    try:
+        lib = ctypes.CDLL(libs[0])
+        get_threads, set_threads = (
+            lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        )
+    except (IndexError, OSError, AttributeError):
+        return None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get_threads, set_threads
+
+
+_PASSES_SCRIPT = """
+import sys
+import numpy as np
+from wica_lab import trainer
+
+with np.load(sys.argv[1]) as case:
+    x, layers = case["x"], range(len(case.files) // 2)
+    weights, biases = [case[f"w{l}"] for l in layers], [case[f"b{l}"] for l in layers]
+m = trainer.MlpParams((x.shape[1], *(w.shape[1] for w in weights)), weights, biases)
+print(trainer.mlp_forward(m, x).tobytes() == trainer._mlp_forward(m, x, []).tobytes())
+"""
+
+
+def _passes_agree_at_one_blas_thread(m: MlpParams, x: np.ndarray) -> bool:
+    """Whether mlp_forward's streamed pass of m on x (what encode runs)
+    gives the bytes of the one-call collecting pass at one BLAS thread.
+    OpenBLAS's Haswell kernel splits a threaded gemm's rows across threads
+    by the call's row count, so at two threads a row's bytes depend on how
+    many rows its call holds; at one thread they do not.  The count is
+    pinned in-process around both passes and restored after; where numpy's
+    OpenBLAS does not export the setter, both passes run in a child process
+    at OPENBLAS_NUM_THREADS=1."""
+    threads = _blas_threads()
+    if threads is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "case.npz")
+            layers = {f"w{l}": w for l, w in enumerate(m.weights)}
+            layers.update({f"b{l}": b for l, b in enumerate(m.biases)})
+            np.savez(path, x=x, **layers)
+            return _run_child(_PASSES_SCRIPT, path, OPENBLAS_NUM_THREADS="1") == ["True", ""]
+    get_threads, set_threads = threads
+    old = get_threads()
+    set_threads(1)
+    try:
+        return mlp_forward(m, x).tobytes() == trainer._mlp_forward(m, x, []).tobytes()
+    finally:
+        set_threads(old)
+
+
+def test_one_thread_passes_run_in_a_child_without_the_thread_setter(monkeypatch):
+    """The fallback of _passes_agree_at_one_blas_thread: with no setter
+    the passes run in a child process, and still compare bytes."""
+    m = init_mlp((3, 128, 8, 128, 3), RngStream(29).split("init"))
+    x = RngStream(30).split("x").generator().standard_normal((10649, 3))
+    monkeypatch.setitem(globals(), "_blas_threads", lambda: None)
+    assert _passes_agree_at_one_blas_thread(m, x)
+
+
 @pytest.mark.parametrize("d", [2, 16])
 @pytest.mark.parametrize("n", [1, 255, 4095, 8191, 8192, 9000, 17618])
 def test_blocked_encode_equals_one_call_bit_for_bit(d, n):
@@ -477,10 +564,11 @@ def test_blocked_encode_equals_one_call_bit_for_bit(d, n):
     The collecting forward is one call over all rows, so it is the
     reference.  OpenBLAS takes a small-matrix kernel when M*N*K < 1e6:
     below 3907 rows the d=2 output layer, (M x 128)(128 x 2), rounds
-    differently, which the 4096-row floor of a block avoids."""
+    differently, which the 4096-row floor of a block avoids.  Both run at
+    one BLAS thread, which the bytes of every x86 kernel need."""
     model = init_model(d, (128, 128, 128), RngStream(21).split("init"))
     x = RngStream(22).split("x").generator().standard_normal((n, d))
-    assert encode(model, x).tobytes() == trainer._mlp_forward(model.encoder, x, []).tobytes()
+    assert _passes_agree_at_one_blas_thread(model.encoder, x)
 
 
 @pytest.mark.parametrize("blocks", [0.9, 2.6])
@@ -499,11 +587,13 @@ def test_streaming_forward_equals_collecting_pass_bit_for_bit(sizes, blocks):
     rows it reads; with narrow middle layers that run on the whole block
     (128, 8, 8) or in 2048-row sub-blocks (128, 4, 128), where 512 rows
     through 128 -> 4 would take the small-matrix kernel; and with first and
-    last hidden widths that differ (8, 128) and (5, 4)."""
+    last hidden widths that differ (8, 128) and (5, 4), whose rows are
+    placed in the block buffer so that none is written before it is read.
+    Both passes run at one BLAS thread."""
     m = init_mlp(sizes, RngStream(27).split("init"))
     n = int(blocks * (trainer._BLOCK_ELEMENTS // max(sizes)))
     x = RngStream(28).split("x").generator().standard_normal((n, sizes[0]))
-    assert trainer._mlp_forward(m, x).tobytes() == trainer._mlp_forward(m, x, []).tobytes()
+    assert _passes_agree_at_one_blas_thread(m, x)
 
 
 _HASWELL_SCRIPT = """
@@ -524,12 +614,12 @@ for d in (2, 16):
 """
 
 
-def _run_child(script: str, **env: str) -> list[str]:
-    """stdout lines of script run in a child process with env added:
-    OpenBLAS reads its kernel and thread count when it loads."""
+def _run_child(script: str, *args: str, **env: str) -> list[str]:
+    """stdout lines of script run with args in a child process with env
+    added: OpenBLAS reads its kernel and thread count when it loads."""
     env = dict(os.environ, PYTHONPATH=str(Path(trainer.__file__).resolve().parents[1]), **env)
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.split("\n")
@@ -587,6 +677,26 @@ def test_blocked_encode_holds_one_block_of_layer_outputs(hidden, blocks):
         tracemalloc.stop()
     rows = n - trainer._edges(n, 4096)[-2]
     assert peak < 1.5 * (rows * 128 * 8) + n * d * 8
+
+
+def test_streamed_pass_of_unequal_widths_holds_only_its_buffers():
+    """(128, 8) at 2.6 blocks: the narrow layer's rows are contiguous in
+    the flat block buffer, so its bias add and tanh allocate nothing, and
+    the pass peaks at its block buffer and output plus numpy's buffered
+    read of the middle layer's input where its output overlaps it, at most
+    two ufunc buffers (np.getbufsize() elements each).  On a strided view
+    of a 128-wide buffer the add and tanh buffered 130-200 KB each."""
+    n, d = int(2.6 * 4096), 2
+    model = init_model(d, (128, 8), RngStream(23).split("init"))
+    x = RngStream(24).split("x").generator().standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        encode(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = (n - trainer._edges(n, 4096)[-2]) * 128 * 8
+    assert peak < block + n * d * 8 + 2 * np.getbufsize() * 8
 
 
 def test_parameters_are_views_of_theta(tmp_path: Path):
@@ -703,6 +813,21 @@ def test_collapse_retry_redraws_the_points_only(monkeypatch):
     assert len(draws) == cfg.steps + 1 and len(forwards) == cfg.steps
     assert model.theta.tobytes() == ref_model.theta.tobytes()
     assert trace == ref_trace
+
+
+def test_collapse_retry_runs_the_backward_pass_once_per_step(monkeypatch):
+    """A retried step runs each net's backward pass once, after the draw
+    that survives, so the spent activations are never read twice."""
+    cfg = TrainConfig(steps=6, batch_size=64, hidden_sizes=(8,), seed=5)
+    backward: list = []
+    draws: list = []
+    _counting(monkeypatch, "_mlp_backward", backward)
+    _counting(monkeypatch, "sample_weighting_points", draws,
+              lambda *args: _far_points(*args) if len(draws) == 3 else None)
+    model, _ = train(_toy_data(6), cfg)
+    assert len(draws) == cfg.steps + 1
+    assert sum(net is model.encoder for net in backward) == cfg.steps
+    assert sum(net is model.decoder for net in backward) == cfg.steps
 
 
 def test_train_gives_up_when_every_draw_collapses(monkeypatch):
