@@ -635,22 +635,13 @@ def test_blocked_encode_equals_one_call_on_the_haswell_kernel():
     assert out == ["Haswell", "2 True", "16 True", ""]
 
 
-_WIDTH_ONE_SCRIPT = """
-from wica_lab import trainer
-from wica_lab.core import RngStream
-
-m = trainer.init_mlp((16, 128, 128, 1, 128, 16), RngStream(27).split("init"))
-x = RngStream(28).split("x").generator().standard_normal((17618, 16))
-print(trainer._mlp_forward(m, x).tobytes() == trainer._mlp_forward(m, x, []).tobytes())
-"""
-
-
 def test_streaming_forward_through_a_width_one_layer_at_one_blas_thread():
     """The known exception of _mlp_forward's docstring: through a width-1
     hidden layer the streaming pass gives the collecting pass's bytes at
-    one BLAS thread, in a child process, while at two threads two of these
-    17618 rows differ."""
-    assert _run_child(_WIDTH_ONE_SCRIPT, OPENBLAS_NUM_THREADS="1") == ["True", ""]
+    one BLAS thread, while at two threads two of these 17618 rows differ."""
+    m = init_mlp((16, 128, 128, 1, 128, 16), RngStream(27).split("init"))
+    x = RngStream(28).split("x").generator().standard_normal((17618, 16))
+    assert _passes_agree_at_one_blas_thread(m, x)
 
 
 @pytest.mark.parametrize(
@@ -664,7 +655,7 @@ def test_blocked_encode_holds_one_block_of_layer_outputs(hidden, blocks):
     all rows holds two 32 MB layer outputs and two block buffers 8 MB.
     With first and last hidden widths that differ, (8, 128) and (128, 8)
     at 2.6 blocks (the last block 6553 rows), the narrow layer's output is
-    a strided view of the 128-wide block buffer, and the same bound on the
+    a contiguous view of the flat block buffer, and the same bound on the
     last block pins that no view is copied whole."""
     n, d = int(blocks * 4096), 2
     model = init_model(d, hidden, RngStream(23).split("init"))
