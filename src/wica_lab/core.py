@@ -69,11 +69,9 @@ def _weighted_moments(y: np.ndarray, w: np.ndarray, total: np.ndarray):
     row sums are total.  Each row's products are matmul calls of its own,
     so its moments are the same bytes in any stack, one-row included."""
     scale = total[:, None, None]
-    means = np.matmul(w[:, None, :], y)
-    means /= scale
+    means = np.matmul(w[:, None, :], y) / scale
     centered = y - means
-    cov = np.matmul(centered.transpose(0, 2, 1) * w[:, None, :], centered)
-    cov /= scale
+    cov = np.matmul(centered.transpose(0, 2, 1) * w[:, None, :], centered) / scale
     return means[:, 0], centered, cov
 
 
@@ -102,8 +100,7 @@ def normalize_componentwise(x) -> np.ndarray:
 def _normalize_parts(x: np.ndarray):
     """Unchecked normalize_componentwise, plus the centred data, the column
     std (x.std's reductions, on the centred data) and the divisor it used."""
-    # x.mean(axis=0) is this sum divided by the row count
-    centered = x - np.add.reduce(x, axis=0) / len(x)
+    centered = x - x.mean(axis=0)
     sigma = np.sqrt(np.add.reduce(centered * centered, axis=0) / len(x))
     denom = np.where(sigma < _NORMALIZE_FLOOR, sigma + _NORMALIZE_FLOOR, sigma)
     return centered / denom, centered, sigma, denom

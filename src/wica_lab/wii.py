@@ -64,34 +64,16 @@ def _log_weights(y: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(K, n) log weights of the n rows of y under each of K points: the log
     N(p, I) density less its constant, which cancels in every statistic."""
     diff = y - points[:, None, :]
-    lw = np.einsum("kij,kij->ki", diff, diff)
-    lw *= -0.5
-    return lw
+    return -0.5 * np.einsum("kij,kij->ki", diff, diff)
 
 
 def _weights(lw: np.ndarray):
     """Each row of lw exponentiated with its top weight shifted to 1, the
     row totals, and which rows collapsed.  The shift cancels downstream and
     keeps exp() from underflowing.  A NaN mass is not a collapse."""
-    w = lw - np.maximum.reduce(lw, axis=-1, keepdims=True)
-    np.exp(w, out=w)
-    total = np.add.reduce(w, axis=-1)
+    w = np.exp(lw - lw.max(axis=-1, keepdims=True))
+    total = w.sum(axis=-1)
     return w, total, total - 1.0 < _MIN_EFFECTIVE_WEIGHT
-
-
-def _diagonal(a: np.ndarray) -> np.ndarray:
-    """A writable view of the diagonals of a C-contiguous stack of (d, d)
-    matrices."""
-    d = a.shape[-1]
-    return a.reshape(*a.shape[:-2], d * d, copy=False)[..., ::d + 1]
-
-
-def _pair_denominators(z: np.ndarray):
-    """The variances of a stack of covariances, as a view of z, and
-    var_i^2 + var_j^2 for every pair."""
-    var = np.diagonal(z, axis1=-2, axis2=-1)
-    sq = var * var
-    return var, np.add(sq[..., :, None], sq[..., None, :])
 
 
 def _coefficients(z: np.ndarray) -> np.ndarray:
@@ -102,14 +84,13 @@ def _coefficients(z: np.ndarray) -> np.ndarray:
     dependence, so its coefficient is 0 rather than 0/0; this is what
     lets the index stay finite on flat latent channels during training.
     """
-    denom = _pair_denominators(z)[1]
+    diag = np.arange(z.shape[-1])
+    var = z[..., diag, diag]
+    denom = var[..., :, None] ** 2 + var[..., None, :] ** 2
     dead = denom == 0.0
-    np.copyto(denom, 1.0, where=dead)
-    c = 2.0 * z
-    c *= z
-    c /= denom
-    np.copyto(c, 0.0, where=dead)
-    _diagonal(c)[...] = 0.0
+    c = 2.0 * z * z / np.where(dead, 1.0, denom)
+    c[dead] = 0.0
+    c[..., diag, diag] = 0.0
     return c
 
 
@@ -129,15 +110,15 @@ def _points_forward(y: np.ndarray, points: np.ndarray):
     bytes in any stack.
     """
     w, total, collapsed = _weights(_log_weights(y, points))
+    if collapsed.all():
+        raise WeightCollapseError(points[-1], float(total[-1] - 1.0))
     if collapsed.any():
-        if collapsed.all():
-            raise WeightCollapseError(points[-1], float(total[-1] - 1.0))
         live = ~collapsed
         points, w, total = points[live], w[live], total[live]
     _, centered, z = _weighted_moments(y, w, total)
     d = y.shape[1]
     # c is symmetric with zero diagonal; summing it all counts each pair twice
-    values = np.add.reduce(_coefficients(z), axis=(1, 2)) / (d * (d - 1))
+    values = _coefficients(z).sum(axis=(1, 2)) / (d * (d - 1))
     return values, (points, w, total, centered, z)
 
 
@@ -146,9 +127,11 @@ def _points_backward(y: np.ndarray, cache, coef: float) -> np.ndarray:
     Mirrors _points_forward exactly."""
     points, w, total, centered, z = cache
     d = y.shape[1]
-    var, denom = _pair_denominators(z)
+    diag = np.arange(d)
+    var = z[:, diag, diag]
+    denom = var[:, :, None] ** 2 + var[:, None, :] ** 2
     live = denom > 0.0
-    _diagonal(live)[...] = False
+    live[:, diag, diag] = False
     safe = np.where(live, denom, 1.0)
 
     # coef * dwii/dZ: off-diagonal from c_ij = 2 z_ij^2 / denom, diagonal
@@ -156,28 +139,24 @@ def _points_backward(y: np.ndarray, cache, coef: float) -> np.ndarray:
     scale = coef / (d * (d - 1))
     g = np.where(live, scale * 4.0 * z / safe, 0.0)
     ratio = np.where(live, z * z / (safe * safe), 0.0)
-    _diagonal(g)[...] = -scale * 8.0 * var * np.add.reduce(ratio, axis=2)
+    g[:, diag, diag] = -scale * 8.0 * var * ratio.sum(axis=2)
 
     # Z = centered^T diag(w) centered / total, one (n, d) slab per point
     w_rel = (w / total[:, None])[:, :, None]
     d_y = centered @ (g + g.transpose(0, 2, 1))
     d_y *= w_rel
-    d_w = np.einsum("kia,kia->ki", centered @ g, centered)
-    d_w -= np.add.reduce(g * z, axis=(1, 2))[:, None]
-    h = np.add.reduce(d_y, axis=1)
+    quad = np.einsum("kia,kia->ki", centered @ g, centered)
+    trace_gz = (g * z).sum(axis=(1, 2))
+    h = d_y.sum(axis=1)
     total = total[:, None]
-    d_w /= total
-    along_h = np.matmul(centered, h[:, :, None])[:, :, 0]
-    along_h /= total
-    d_w -= along_h
+    d_w = (quad - trace_gz[:, None]) / total - (centered @ h[:, :, None])[:, :, 0] / total
     d_y -= w_rel * h[:, None, :]
 
     # w_i = exp(lw_i - max lw); the shift is exactly gradient-free
     diff = y - points[:, None, :]
-    d_w *= w
-    diff *= d_w[:, :, None]
+    diff *= (w * d_w)[:, :, None]
     d_y -= diff
-    return np.add.reduce(d_y, axis=0)
+    return d_y.sum(axis=0)
 
 
 def sample_weighting_points(y, num_points: int | None, rng: RngStream) -> np.ndarray:

@@ -489,18 +489,35 @@ def test_forward_pass_holds_at_most_two_layer_outputs(forward):
     assert peak < 1.5 * (4096 * 128 * 8)
 
 
-def _blas_threads():
-    """The thread-count getter and setter of numpy's bundled OpenBLAS,
-    through ctypes; None where the library or either symbol is missing."""
+def _openblas():
+    """numpy's bundled OpenBLAS through ctypes, or None where it is not
+    found."""
     libs = glob.glob(
         os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
     )
     try:
-        lib = ctypes.CDLL(libs[0])
-        get_threads, set_threads = (
-            lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        )
-    except (IndexError, OSError, AttributeError):
+        return ctypes.CDLL(libs[0])
+    except (IndexError, OSError):
+        return None
+
+
+def _corename() -> str | None:
+    """The name of the kernel numpy's OpenBLAS runs, or None where the
+    library or the symbol is missing."""
+    corename = getattr(_openblas(), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS,
+    through ctypes; None where the library or either symbol is missing."""
+    lib = _openblas()
+    get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if get_threads is None or set_threads is None:
         return None
     get_threads.argtypes, get_threads.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
@@ -571,13 +588,18 @@ def test_blocked_encode_equals_one_call_bit_for_bit(d, n):
     assert _passes_agree_at_one_blas_thread(model.encoder, x)
 
 
+_STREAMED_SIZES = [
+    (2, 128, 128, 2), (16, 128, 128, 16), (16, 128, 16), (2, 128, 8, 8, 2), (2, 128, 4, 128, 2),
+    (2, 8, 128, 2), (2, 5, 4, 3),
+]
+
+
+def _sizes_id(sizes) -> str:
+    return "x".join(map(str, sizes))
+
+
 @pytest.mark.parametrize("blocks", [0.9, 2.6])
-@pytest.mark.parametrize(
-    "sizes",
-    [(2, 128, 128, 2), (16, 128, 128, 16), (16, 128, 16), (2, 128, 8, 8, 2), (2, 128, 4, 128, 2),
-     (2, 8, 128, 2), (2, 5, 4, 3)],
-    ids=lambda sizes: "x".join(map(str, sizes)),
-)
+@pytest.mark.parametrize("sizes", _STREAMED_SIZES, ids=_sizes_id)
 def test_streaming_forward_equals_collecting_pass_bit_for_bit(sizes, blocks):
     """The streaming pass runs its first and output layers on whole blocks
     and its middle layers in sub-blocks of at least 2**20 multiply-adds,
@@ -594,6 +616,24 @@ def test_streaming_forward_equals_collecting_pass_bit_for_bit(sizes, blocks):
     n = int(blocks * (trainer._BLOCK_ELEMENTS // max(sizes)))
     x = RngStream(28).split("x").generator().standard_normal((n, sizes[0]))
     assert _passes_agree_at_one_blas_thread(m, x)
+
+
+@pytest.mark.skipif(
+    _corename() != "SkylakeX", reason="other kernels keep these bytes only at one BLAS thread"
+)
+@pytest.mark.parametrize(
+    "sizes", [(2, 128, 128, 128, 2), (16, 128, 128, 128, 16), *_STREAMED_SIZES], ids=_sizes_id
+)
+def test_streamed_pass_equals_one_call_at_default_blas_threads_on_skylakex(sizes):
+    """encode and mix run at numpy's default BLAS thread count.  On the
+    SkylakeX kernel the streamed pass keeps the one-call bytes there too,
+    with no pinned thread count: the encoder's net and the nets above,
+    over 2.6 blocks.  Haswell's threaded gemm does not (see
+    _passes_agree_at_one_blas_thread)."""
+    m = init_mlp(sizes, RngStream(27).split("init"))
+    n = int(2.6 * (trainer._BLOCK_ELEMENTS // max(sizes)))
+    x = RngStream(28).split("x").generator().standard_normal((n, sizes[0]))
+    assert mlp_forward(m, x).tobytes() == trainer._mlp_forward(m, x, []).tobytes()
 
 
 _HASWELL_SCRIPT = """
