@@ -124,7 +124,16 @@ def _points_forward(y: np.ndarray, points: np.ndarray):
 
 def _points_backward(y: np.ndarray, cache, coef: float) -> np.ndarray:
     """coef times the sum over the cached points of d(wii at p)/dY.
-    Mirrors _points_forward exactly."""
+
+    The only (K, n, d) array it makes is P = centered @ (g + g^T), where g
+    is coef * dwii/dZ: its rows give the covariance path and, dotted with
+    the centred rows, the quadratic form of the weight path.  The mean
+    path and the log-weight path are products over all points at once,
+    (n, K) @ (K, d).  The mean path h = (g + g^T) sum_i w_i c_i / total is
+    zero in exact arithmetic but stays: near a collapse a large g turns
+    the rounding left in sum_i w_i c_i into a term as large as the
+    gradient, and h cancels it.
+    """
     points, w, total, centered, z = cache
     d = y.shape[1]
     diag = np.arange(d)
@@ -141,22 +150,26 @@ def _points_backward(y: np.ndarray, cache, coef: float) -> np.ndarray:
     ratio = np.where(live, z * z / (safe * safe), 0.0)
     g[:, diag, diag] = -scale * 8.0 * var * ratio.sum(axis=2)
 
-    # Z = centered^T diag(w) centered / total, one (n, d) slab per point
-    w_rel = (w / total[:, None])[:, :, None]
-    d_y = centered @ (g + g.transpose(0, 2, 1))
-    d_y *= w_rel
-    quad = np.einsum("kia,kia->ki", centered @ g, centered)
+    # Z = centered^T diag(w) centered / total, one (n, d) slab per point;
+    # c^T g c is half of c^T (g + g^T) c
+    sym = g + g.transpose(0, 2, 1)
+    w_rel = w / total[:, None]
+    d_c = centered @ sym
+    quad = 0.5 * np.einsum("kia,kia->ki", d_c, centered)
+    d_c *= w_rel[:, :, None]
+    h = (w_rel[:, None, :] @ centered) @ sym
     trace_gz = (g * z).sum(axis=(1, 2))
-    h = d_y.sum(axis=1)
     total = total[:, None]
-    d_w = (quad - trace_gz[:, None]) / total - (centered @ h[:, :, None])[:, :, 0] / total
-    d_y -= w_rel * h[:, None, :]
+    d_w = (quad - trace_gz[:, None]) / total - (centered @ h.transpose(0, 2, 1))[:, :, 0] / total
+    d_y = d_c.sum(axis=0)
+    d_y -= w_rel.T @ h[:, 0]
 
-    # w_i = exp(lw_i - max lw); the shift is exactly gradient-free
-    diff = y - points[:, None, :]
-    diff *= (w * d_w)[:, :, None]
-    d_y -= diff
-    return d_y.sum(axis=0)
+    # w_i = exp(lw_i - max lw); the shift is exactly gradient-free, and
+    # sum_k d_lw_k (y - p_k) is y sum_k d_lw_k - d_lw^T points
+    d_lw = w * d_w
+    d_y += d_lw.T @ points
+    d_y -= d_lw.sum(axis=0)[:, None] * y
+    return d_y
 
 
 def sample_weighting_points(y, num_points: int | None, rng: RngStream) -> np.ndarray:

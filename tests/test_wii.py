@@ -195,6 +195,27 @@ def test_points_kernel_skips_the_loops_collapsed_points(d):
     assert np.max(np.abs(d_y - expect_d_y)) < 1e-12 * np.max(np.abs(expect_d_y))
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than float64")
+@pytest.mark.parametrize("d", [2, 16])
+def test_points_backward_matches_long_double_near_a_collapse(d):
+    """Points from radius 1 out to 30, where the survivors' mass beyond
+    the top row falls to 1e-6 and below: the gradient keeps float64's
+    accuracy against the same kernel in long double.  Dropping the
+    kernel's mean-path term, zero but for rounding, fails this."""
+    g = RngStream(80 + d).split("collapse").generator()
+    y = normalize_componentwise(g.laplace(size=(256, d)) @ g.standard_normal((d, d)))
+    u = g.standard_normal((30, d))
+    points = u / np.linalg.norm(u, axis=1, keepdims=True) * np.linspace(1.0, 30.0, 30)[:, None]
+    values, cache = _points_forward(y, points)
+    _, ref_cache = _points_forward(y.astype(np.longdouble), points.astype(np.longdouble))
+    assert np.array_equal(cache[0], ref_cache[0].astype(np.float64))
+    mass = cache[2] - 1.0
+    assert mass.min() <= 1e-6 and mass.max() >= 1e1
+    d_y = _points_backward(y, cache, 0.7 / len(values))
+    ref = _points_backward(y.astype(np.longdouble), ref_cache, 0.7 / len(values)).astype(np.float64)
+    assert np.max(np.abs(d_y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_points_kernel_raises_the_loops_last_collapse():
     y, _ = _kernel_case(3, 1)
     points = 1e4 * np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
