@@ -14,7 +14,9 @@ points drawn near the origin of the normalized sample.
 The diagnostics here and the training cost in trainer.py evaluate the
 index with one kernel over a stack of K points, _points_forward, whose
 centred rows are (K, n, d), weights (K, n) and covariances (K, d, d);
-_points_backward differentiates the whole stack.  Training passes its K
+_points_backward differentiates the whole stack with one more (K, n, d)
+array, and takes the mean and log-weight terms of the gradient as
+(n, K) @ (K, d) products over all points.  Training passes its K
 points at once, wii_multi one at a time, so that a diagnostic on a large
 sample holds one point's (n, d) arrays rather than K of them.
 """
@@ -125,14 +127,14 @@ def _points_forward(y: np.ndarray, points: np.ndarray):
 def _points_backward(y: np.ndarray, cache, coef: float) -> np.ndarray:
     """coef times the sum over the cached points of d(wii at p)/dY.
 
-    The only (K, n, d) array it makes is P = centered @ (g + g^T), where g
-    is coef * dwii/dZ: its rows give the covariance path and, dotted with
-    the centred rows, the quadratic form of the weight path.  The mean
-    path and the log-weight path are products over all points at once,
-    (n, K) @ (K, d).  The mean path h = (g + g^T) sum_i w_i c_i / total is
-    zero in exact arithmetic but stays: near a collapse a large g turns
-    the rounding left in sum_i w_i c_i into a term as large as the
-    gradient, and h cancels it.
+    The only (K, n, d) array it makes is d_c = centered @ (g + g^T), where
+    g is coef * dwii/dZ: dotted with the centred rows it gives the
+    quadratic form of the weight path, then, scaled by w / total, the
+    covariance path.  The mean path and the log-weight path are summed over
+    the points as (n, K) @ (K, d) products.  The mean path
+    h = (g + g^T) sum_i w_i c_i / total is zero in exact arithmetic but
+    stays: near a collapse a large g turns the rounding left in
+    sum_i w_i c_i into a term as large as the gradient, and h cancels it.
     """
     points, w, total, centered, z = cache
     d = y.shape[1]
@@ -157,12 +159,12 @@ def _points_backward(y: np.ndarray, cache, coef: float) -> np.ndarray:
     d_c = centered @ sym
     quad = 0.5 * np.einsum("kia,kia->ki", d_c, centered)
     d_c *= w_rel[:, :, None]
-    h = (w_rel[:, None, :] @ centered) @ sym
+    h = ((w_rel[:, None, :] @ centered) @ sym)[:, 0]
     trace_gz = (g * z).sum(axis=(1, 2))
     total = total[:, None]
-    d_w = (quad - trace_gz[:, None]) / total - (centered @ h.transpose(0, 2, 1))[:, :, 0] / total
+    d_w = (quad - trace_gz[:, None]) / total - (centered @ h[:, :, None])[:, :, 0] / total
     d_y = d_c.sum(axis=0)
-    d_y -= w_rel.T @ h[:, 0]
+    d_y -= w_rel.T @ h
 
     # w_i = exp(lw_i - max lw); the shift is exactly gradient-free, and
     # sum_k d_lw_k (y - p_k) is y sum_k d_lw_k - d_lw^T points
