@@ -420,10 +420,10 @@ def _float(value) -> float:
 
 def _list_of(parse):
     """A JSON list (or tuple) of values parse reads, or a comma-separated
-    flag string of them; the result is a tuple."""
+    flag string of them, '' for none; the result is a tuple."""
     def parse_list(value) -> tuple:
         if isinstance(value, str):
-            value = value.split(",")
+            value = value.split(",") if value else []
         if not isinstance(value, (list, tuple)):
             raise FileFormatError(f"expected a list, got {value!r}")
         return tuple(parse(v) for v in value)

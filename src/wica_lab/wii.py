@@ -12,13 +12,13 @@ index is the average of c_ij over pairs, and over several weighting
 points drawn near the origin of the normalized sample.
 
 The diagnostics here and the training cost in trainer.py evaluate the
-index with one kernel over a stack of K points, _points_forward, whose
-centred rows are (K, n, d), weights (K, n) and covariances (K, d, d);
-_points_backward differentiates the whole stack with one more (K, n, d)
-array, and takes the mean and log-weight terms of the gradient as
-(n, K) @ (K, d) products over all points.  Training passes its K
-points at once, wii_multi one at a time, so that a diagnostic on a large
-sample holds one point's (n, d) arrays rather than K of them.
+index with one kernel over a stack of K points: _points_forward makes
+(K, n, d) centred rows and (K, d, d) covariances, _points_backward one
+more (K, n, d) array and (n, K) @ (K, d) products over the points, and
+both read which pairs count from _pair_terms, the one place that rule
+is written.  Training passes its K points at once, wii_multi one at a
+time, so that a diagnostic on a large sample holds one point's (n, d)
+arrays rather than K of them.
 """
 
 from __future__ import annotations
@@ -78,22 +78,27 @@ def _weights(lw: np.ndarray):
     return w, total, total - 1.0 < _MIN_EFFECTIVE_WEIGHT
 
 
-def _coefficients(z: np.ndarray) -> np.ndarray:
-    """Pairwise coefficients c_ij of every (d, d) covariance matrix of a
-    stack, zero diagonal.
-
-    A pair whose variances are both zero carries no evidence of linear
-    dependence, so its coefficient is 0 rather than 0/0; this is what
-    lets the index stay finite on flat latent channels during training.
+def _pair_terms(z: np.ndarray):
+    """The one rule for which pairs count, over a stack of (d, d)
+    covariances: the variances, the denominators var_i^2 + var_j^2 (1 off
+    the live pairs) and the live mask, off the diagonal with a denominator
+    other than 0.  Two zero variances carry no evidence of linear
+    dependence, so their pair is dead rather than 0/0, which keeps the
+    index finite on flat latent channels; a NaN denominator stays live, so
+    a NaN covariance gives a NaN index and gradient.
     """
     diag = np.arange(z.shape[-1])
     var = z[..., diag, diag]
     denom = var[..., :, None] ** 2 + var[..., None, :] ** 2
-    dead = denom == 0.0
-    c = 2.0 * z * z / np.where(dead, 1.0, denom)
-    c[dead] = 0.0
-    c[..., diag, diag] = 0.0
-    return c
+    live = (denom != 0.0) & ~np.eye(len(diag), dtype=bool)
+    return var, np.where(live, denom, 1.0), live
+
+
+def _coefficients(z: np.ndarray) -> np.ndarray:
+    """Pairwise coefficients c_ij of every (d, d) covariance matrix of a
+    stack, zero off the live pairs of _pair_terms."""
+    _, safe, live = _pair_terms(z)
+    return np.where(live, 2.0 * z * z / safe, 0.0)
 
 
 def wii_at_point(y, p) -> float:
@@ -114,9 +119,8 @@ def _points_forward(y: np.ndarray, points: np.ndarray):
     w, total, collapsed = _weights(_log_weights(y, points))
     if collapsed.all():
         raise WeightCollapseError(points[-1], float(total[-1] - 1.0))
-    if collapsed.any():
-        live = ~collapsed
-        points, w, total = points[live], w[live], total[live]
+    live = ~collapsed
+    points, w, total = points[live], w[live], total[live]
     _, centered, z = _weighted_moments(y, w, total)
     d = y.shape[1]
     # c is symmetric with zero diagonal; summing it all counts each pair twice
@@ -127,29 +131,25 @@ def _points_forward(y: np.ndarray, points: np.ndarray):
 def _points_backward(y: np.ndarray, cache, coef: float) -> np.ndarray:
     """coef times the sum over the cached points of d(wii at p)/dY.
 
-    The only (K, n, d) array it makes is d_c = centered @ (g + g^T), where
-    g is coef * dwii/dZ: dotted with the centred rows it gives the
-    quadratic form of the weight path, then, scaled by w / total, the
-    covariance path.  The mean path and the log-weight path are summed over
-    the points as (n, K) @ (K, d) products.  The mean path
-    h = (g + g^T) sum_i w_i c_i / total is zero in exact arithmetic but
-    stays: near a collapse a large g turns the rounding left in
-    sum_i w_i c_i into a term as large as the gradient, and h cancels it.
+    Its pairs are the live pairs of _pair_terms.  The only (K, n, d)
+    array it makes is d_c = centered @ (g + g^T), g = coef * dwii/dZ:
+    dotted with the centred rows it gives the quadratic form of the weight
+    path, then, scaled by w / total, the covariance path.  The mean and
+    log-weight paths are (n, K) @ (K, d) products over the points.  The
+    mean path h = (g + g^T) sum_i w_i c_i / total is zero in exact
+    arithmetic but stays: near a collapse a large g turns the rounding in
+    sum_i w_i c_i into a term as large as the gradient, which h cancels.
     """
     points, w, total, centered, z = cache
     d = y.shape[1]
-    diag = np.arange(d)
-    var = z[:, diag, diag]
-    denom = var[:, :, None] ** 2 + var[:, None, :] ** 2
-    live = denom > 0.0
-    live[:, diag, diag] = False
-    safe = np.where(live, denom, 1.0)
+    var, safe, live = _pair_terms(z)
 
     # coef * dwii/dZ: off-diagonal from c_ij = 2 z_ij^2 / denom, diagonal
     # from the two denominator appearances of each variance
     scale = coef / (d * (d - 1))
     g = np.where(live, scale * 4.0 * z / safe, 0.0)
     ratio = np.where(live, z * z / (safe * safe), 0.0)
+    diag = np.arange(d)
     g[:, diag, diag] = -scale * 8.0 * var * ratio.sum(axis=2)
 
     # Z = centered^T diag(w) centered / total, one (n, d) slab per point;

@@ -326,6 +326,11 @@ _MALFORMED = [
     ("generate8", "generate", ["--kind", "x"], None, "sources.csv", "kind: expected one of"),
     ("bench17", "bench", ["--source-kind", "x", "--out-dir", "grid"], None, "grid/summary.csv",
      "source_kind: expected one of"),
+    # '' is an empty list, which each command refuses with its own message
+    ("bench18", "bench", ["--dims", "", "--out-dir", "grid"], None, "grid/summary.csv",
+     "bench needs nonempty dims"),
+    ("plot-data1", "plot-data", ["--data", "data.csv", "--cols", ""], None,
+     "plots/scatter.csv", "cols must be"),
     # a finite column whose mean and variance overflow float64
     ("wii-overflow", "wii", ["--data", _HUGE], None, "wii.json",
      "column 0: standard deviation overflows float64"),
@@ -535,6 +540,23 @@ def test_flag_and_config_file_record_the_same_config_hash(tmp_path, monkeypatch)
     by_file = _read_manifest(tmp_path / "file" / "model.json")
     assert by_flag["config"]["hidden_sizes"] == [8, 8]
     assert by_flag["config_hash"] == by_file["config_hash"]
+
+
+def test_empty_flag_list_trains_the_model_an_empty_config_list_does(tmp_path, monkeypatch):
+    """--hidden-sizes '' reads as [], so it trains the linear autoencoder
+    that {"hidden_sizes": []} in a config file does."""
+    monkeypatch.chdir(tmp_path)
+    _generate("data.csv", n=64)
+    argv = ["train", "--data", "data.csv", "--steps", "2", "--batch-size", "32"]
+    (tmp_path / "cfg.json").write_text('{"hidden_sizes": []}\n')
+    assert main([*argv, "--hidden-sizes", "", "--model-out", "flag.json"]) == 0
+    assert main([*argv, "--config", "cfg.json", "--model-out", "file.json"]) == 0
+    assert (tmp_path / "flag.json").read_bytes() == (tmp_path / "file.json").read_bytes()
+    by_flag, by_file = (_read_manifest(tmp_path / name)["config"]
+                        for name in ("flag.json", "file.json"))
+    assert (by_flag.pop("model_out"), by_file.pop("model_out")) == ("flag.json", "file.json")
+    assert by_flag == by_file
+    assert by_flag["hidden_sizes"] == []
 
 
 # ---------------------------------------------------------------------------

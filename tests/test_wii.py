@@ -22,6 +22,7 @@ from wica_lab.wii import (
     wii_multi,
     _coefficients,
     _log_weights,
+    _pair_terms,
     _points_backward,
     _points_forward,
     _weights,
@@ -101,6 +102,22 @@ def test_coefficients_dead_pair_is_zero_not_error():
     z = np.zeros((2, 2))
     c = _coefficients(z)
     assert np.all(c == 0.0)
+
+
+def test_pair_terms_live_pairs():
+    """Off the diagonal, a pair is dead only when both variances are 0; a
+    NaN variance keeps its pairs live, so the coefficients there are NaN."""
+    z = np.stack([np.diag([0.0, 0.0, 2.0]), np.diag([np.nan, 1.0, 0.0])])
+    var, safe, live = _pair_terms(z)
+    assert np.array_equal(var, [[0.0, 0.0, 2.0], [np.nan, 1.0, 0.0]], equal_nan=True)
+    assert not live[:, [0, 1, 2], [0, 1, 2]].any()
+    assert not live[0, 0, 1] and not live[0, 1, 0] and safe[0, 0, 1] == 1.0
+    assert live[0, 0, 2] and live[0, 1, 2] and safe[0, 0, 2] == 4.0
+    assert live[1, 1, 2] and safe[1, 1, 2] == 1.0
+    assert live[1, 0, 1] and live[1, 0, 2] and live[1, 2, 0]
+    c = _coefficients(z)
+    assert np.isnan(c[1, 0, 1:]).all() and np.isnan(c[1, 1:, 0]).all()
+    assert not np.isnan(c[0]).any() and not np.isnan(c[1, 1:, 1:]).any()
 
 
 def test_coefficient_bounded_by_squared_correlation():
@@ -214,6 +231,29 @@ def test_points_backward_matches_long_double_near_a_collapse(d):
     d_y = _points_backward(y, cache, 0.7 / len(values))
     ref = _points_backward(y.astype(np.longdouble), ref_cache, 0.7 / len(values)).astype(np.float64)
     assert np.max(np.abs(d_y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [3, 8])
+def test_points_kernel_matches_the_loop_on_dead_pairs(d):
+    """Two flat columns give dead pairs (both variances 0) and live pairs
+    with one variance 0: the kernel divides by no zero and matches the
+    loop, whose every value is 0 at d=3."""
+    g = RngStream(90 + d).split("dead").generator()
+    x = g.laplace(size=(256, d))
+    x[:, :2] = 3.0
+    y = normalize_componentwise(x)
+    assert np.all(y[:, :2] == 0.0)
+    points = sample_weighting_points(y, 2 * d, RngStream(91 + d))
+    with np.errstate(divide="raise", invalid="raise"):
+        values, cache = _points_forward(y, points)
+        d_y = _points_backward(y, cache, 0.7 / len(values))
+        expect, expect_live, expect_d_y, _ = loop_point_index(y, points, 0.7 / len(values))
+    assert expect_live == list(range(2 * d))
+    assert np.max(np.abs(values - expect)) < 1e-15
+    assert np.all(np.isfinite(d_y))
+    assert np.max(np.abs(d_y - expect_d_y)) < 1e-15
+    if d == 3:
+        assert not np.any(expect)
 
 
 def test_points_kernel_raises_the_loops_last_collapse():
